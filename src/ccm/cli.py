@@ -231,6 +231,10 @@ def _reverify(doc: dict, cert: dict, tol: float) -> dict:
         )
         return {"passed": bool(ok), "status": verdict.status}
     if kind == "nash":
+        if doc["type"] == "bargaining":
+            B = _bargaining_of(doc)
+            resid = _point_nash_residual(B, np.array(cert["point"], dtype=float))
+            return {"passed": resid is not None and abs(resid) <= 1e-8, "kkt_residual": resid}
         P = _collective_of(doc)
         q = np.array(cert["q"])
         resid = _nash_residual(P, q)
@@ -250,6 +254,23 @@ def _nash_residual(P: market.CollectiveProblem, q: np.ndarray) -> float:
     over = float(phi.max() - P.n)
     on = float(np.abs(np.where(q > 1e-8, phi - P.n, 0.0)).max())
     return max(over, on) / P.n
+
+
+def _point_nash_residual(B: polytope.Polytope, x: np.ndarray) -> float | None:
+    """(max_j sum_i (g_j - d)_i / (x_i - d_i) - n) / n over the generators g_j.
+
+    None unless x lies in B strictly above d.  For such x the residual is
+    nonnegative and zero exactly when x maximizes sum_i log(x_i - d_i) over
+    B.  Outside B it can be zero too (any x whose tangent hyperplane
+    supports B at a vertex), hence the membership test.
+    """
+    d = B.disagreement
+    if x.shape != d.shape:
+        raise ValueError("point has the wrong length")
+    if np.any(x <= d) or not polytope.contains(B, x):
+        return None
+    phi = ((B.generators - d) / (x - d)).sum(axis=1)
+    return float((phi.max() - B.dim) / B.dim)
 
 
 def cmd_equitable(args) -> int:
@@ -298,7 +319,9 @@ def cmd_nash(args) -> int:
         if doc["type"] == "bargaining":
             B = _bargaining_of(doc)
             point = solutions.nash_solution(B)
-            payload.update({"point": point.tolist(), "q": [], "kkt_residual": 0.0})
+            payload.update(
+                {"point": point.tolist(), "q": [], "kkt_residual": _point_nash_residual(B, point)}
+            )
         else:
             P = _collective_of(doc)
             q = market.nash_allocation(P)

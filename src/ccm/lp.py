@@ -9,10 +9,14 @@ extraction matter more than speed.  Rows and the objective are scaled by
 powers of two before solving, which conditions pivots without introducing
 any rounding of its own.
 
-On top of the raw solver sit the consumer-side helpers used throughout:
-the budgeted lottery demand problem, its minimal-cost refinement, and the
-supporting shadow prices (c, alpha) with alpha * p >= u - c tight on the
-demand's support.
+On top of the raw solver sit the consumer-side helpers.  The equilibrium
+verifiers need two numbers per agent, the consumer value and the minimal
+cost among maximizers; `consumer_envelope` computes both exactly in
+closed form from the upper concave envelope of the (price, utility)
+points, with no LP.  The LP forms remain for callers that need a
+lottery or duals: the budgeted lottery demand problem with its duals
+(mu0, mu1), its minimal-cost refinement, and the supporting shadow prices
+(c, alpha) with alpha * p >= u - c tight on the demand's support.
 """
 from __future__ import annotations
 
@@ -257,16 +261,54 @@ def _check_consumer_inputs(u, p):
         raise ValueError("agent has no stake: utility row is all zeros")
 
 
-# Lexicographic refinement is skipped above this many outcomes; the solver's
-# Bland optimum is still deterministic.
-_LEX_LIMIT = 32
+def consumer_envelope(u_i, p_i) -> tuple[float, float]:
+    """Consumer value V and the minimal cost among maximizers, in closed form.
+
+    The consumer problem is max u.q  s.t.  p.q <= 1,  e.q <= 1,  q >= 0.
+    Its lotteries map (cost, utility) = (p.q, u.q) onto the convex hull of
+    the points (p_j, u_j) and the origin, so V is the maximum over cost <= 1
+    of the hull's upper concave envelope, and the minimal cost is the least
+    cost at which the envelope reaches V.  Only the Pareto staircase (each
+    point strictly above every cheaper one) can lie on the envelope's
+    rising part: when its top is affordable it gives both numbers at once;
+    otherwise the envelope is strictly rising up to cost 1, so the minimal
+    cost is 1 and V is the envelope's height there.  One sort, one running
+    maximum and a monotone chain over the staircase: O(k log k) time and
+    O(k) memory, with no slack on the utility level.
+    """
+    u = np.asarray(u_i, dtype=float)
+    p = np.asarray(p_i, dtype=float)
+    _check_consumer_inputs(u, p)
+    xs = np.concatenate(([0.0], p))
+    ys = np.concatenate(([0.0], u))
+    order = np.lexsort((-ys, xs))  # by cost, the best utility first on ties
+    xs, ys = xs[order], ys[order]
+    stair = np.empty(ys.shape[0], dtype=bool)
+    stair[0] = True
+    stair[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
+    xs, ys = xs[stair].tolist(), ys[stair].tolist()
+    if xs[-1] <= 1.0:
+        return ys[-1], xs[-1]
+    hull: list[tuple[float, float]] = []
+    for x, y in zip(xs, ys):
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) < (y1 - y0) * (x - x0):
+                break
+            hull.pop()  # (x1, y1) lies on or below the chord
+        hull.append((x, y))
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+        if x1 > 1.0:  # the last vertex lies beyond 1, so this always breaks
+            break
+    return y0 + (y1 - y0) * (1.0 - x0) / (x1 - x0), 1.0
 
 
-def minimal_cost_demand(u_i, p_i, lex: bool = True):
+def minimal_cost_demand(u_i, p_i):
     """Among maximizers of the consumer problem, one of minimal expenditure.
 
-    Returns (q, cost).  Remaining ties break toward the lexicographically
-    smallest q (for small outcome counts).
+    Returns (q, cost), solved as an LP with the utility floor relaxed by
+    1e-12 * (1 + |V|).  `consumer_envelope` gives the exact minimal cost
+    without a lottery.
     """
     u = np.asarray(u_i, dtype=float)
     p = np.asarray(p_i, dtype=float)
@@ -279,32 +321,8 @@ def minimal_cost_demand(u_i, p_i, lex: bool = True):
     sol = solve_arrays(-p, np.vstack(rows), np.array(rhs))
     if sol.status != OPTIMAL:  # pragma: no cover
         raise LpError(f"minimal-cost refinement reported {sol.status}")
-    cost = float(p @ sol.primal)
-    q = sol.primal
-    if lex and k <= _LEX_LIMIT:
-        q = _lex_refine(u, p, opt.value, cost, k)
-    q = np.where(np.abs(q) < 1e-11, 0.0, q)  # snap relaxation dust
+    q = np.where(np.abs(sol.primal) < 1e-11, 0.0, sol.primal)  # snap relaxation dust
     return q, float(p @ q)
-
-
-def _lex_refine(u, p, value, cost, k):
-    scale = 1.0 + abs(value)
-    rows = [np.ones(k), -u, p]
-    rhs = [1.0, -(value - 1e-12 * scale), cost + 1e-12 * (1.0 + cost)]
-    q = None
-    for j in range(k):
-        obj = np.zeros(k)
-        obj[j] = -1.0
-        sol = solve_arrays(obj, np.vstack(rows), np.array(rhs))
-        if sol.status != OPTIMAL:  # pragma: no cover
-            raise LpError("lexicographic refinement failed")
-        qj = max(sol.primal[j], 0.0)
-        row = np.zeros(k)
-        row[j] = 1.0
-        rows.append(row)
-        rhs.append(qj + 1e-14 * (1.0 + qj))
-        q = sol.primal
-    return q
 
 
 def shadow_prices(u_i, p_i, q):
@@ -330,7 +348,7 @@ def shadow_prices(u_i, p_i, q):
     opt = consumer_problem(u, p)
     if u @ qv < opt.value - 1e-7 * scale:
         raise ValueError("precondition failed: q is not a consumer optimum")
-    _, min_cost = minimal_cost_demand(u, p, lex=False)
+    _, min_cost = consumer_envelope(u, p)
     if p @ qv > min_cost + 1e-7 * scale:
         raise ValueError("precondition failed: q is not minimal cost")
 

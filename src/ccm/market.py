@@ -187,14 +187,13 @@ def verify_lindahl(P: CollectiveProblem, p, q, tol: float = EPS_LP) -> Verdict:
     violations: list[Violation] = []
 
     for i in range(P.n):
-        opt = lp.consumer_problem(P.u[i], p[i])
-        gap = opt.value - float(P.u[i] @ q)
+        value, min_cost = lp.consumer_envelope(P.u[i], p[i])
+        gap = value - float(P.u[i] @ q)
         if gap > tol * scale:
             violations.append(Violation("consumer_optimality", i, gap))
         budget = float(p[i] @ q) - 1.0
         if budget > tol * scale:
             violations.append(Violation("budget", i, budget))
-        _, min_cost = lp.minimal_cost_demand(P.u[i], p[i], lex=False)
         cost_gap = float(p[i] @ q) - min_cost
         if cost_gap > 10 * tol * scale:
             violations.append(Violation("minimal_cost", i, cost_gap))
@@ -226,6 +225,21 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _first_hits(payoffs: np.ndarray, tol: float) -> list[int]:
+    """Rows kept by first-hit de-duplication in the max norm.
+
+    A row is kept when no earlier kept row lies within `tol` of it.  Each
+    pass keeps the earliest live row and drops every row within `tol` of
+    it, so the cost is one vectorized test per kept row.
+    """
+    rows = np.arange(len(payoffs))
+    kept: list[int] = []
+    while rows.size:
+        kept.append(int(rows[0]))
+        rows = rows[np.abs(payoffs[rows] - payoffs[rows[0]]).max(axis=1) > tol]
+    return kept
+
+
 def sweep_lindahl_payoffs(
     P: CollectiveProblem, grid_steps: int = 32, tol: float = EPS_LP
 ) -> list[LindahlCertificate]:
@@ -250,15 +264,9 @@ def sweep_lindahl_payoffs(
         bad = support & (Ured[i][None, :] < grid[:, i, None] - tol)
         ok &= ~bad.any(axis=1)
 
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
-    payoffs: list[np.ndarray] = []
-    for cell in np.nonzero(ok)[0]:
-        alpha = shifted[cell] @ lam[cell]
-        pay = alpha + grid[cell]
-        if any(np.abs(pay - seen).max() <= PAYOFF_DEDUP for seen in payoffs):
-            continue
-        payoffs.append(pay)
-        kept.append((grid[cell], lam[cell]))
+    live = np.nonzero(ok)[0]
+    payoffs = (np.matmul(shifted, lam[:, :, None])[:, :, 0] + grid)[live]
+    kept = [(grid[live[r]], lam[live[r]]) for r in _first_hits(payoffs, PAYOFF_DEDUP)]
 
     def build(entry):
         c, lam_red = entry

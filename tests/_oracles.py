@@ -3,7 +3,9 @@
 Everything here avoids the library's own solution paths: LPs are checked
 by brute-force vertex enumeration (and scipy), log-welfare optima by fine
 grid search over the frontier, and equitability witnesses by the direct
-grid search over candidate simplex-game translations.
+grid search over candidate simplex-game translations.  The one exception
+is the consumer problem's LP path, kept as the oracle for the closed-form
+`lp.consumer_envelope` that the verifiers use.
 """
 from __future__ import annotations
 
@@ -48,6 +50,21 @@ def lp_scipy(c, A, b):
     if res.status == 3:
         return "unbounded", None, None
     return "optimal", -res.fun, res.x
+
+
+def consumer_lp_path(u, p):
+    """(V, minimal cost) of the consumer problem by tableau LPs.
+
+    V comes from `lp.consumer_problem`; the cost from `lp.minimal_cost_demand`,
+    whose utility floor is relaxed by 1e-12 * (1 + |V|).  This is the path the
+    verifiers took before `lp.consumer_envelope`; it has the same signature,
+    so a test can patch it in to get the LP-path verdict.
+    """
+    from ccm import lp
+
+    value = lp.consumer_problem(u, p).value
+    _, cost = lp.minimal_cost_demand(u, p)
+    return value, cost
 
 
 def frontier_points_2d(generators, steps=2000):

@@ -169,3 +169,47 @@ def test_inadmissible_shift_exit_code(capsys):
     code, _, err = run(capsys, "solve", path("town.json"), "--c", "0.9,0.9")
     assert code == 2
     assert "inadmissible" in json.loads(err)["error"]
+
+
+def test_sweep_certificate_round_trip(tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    code, _, _ = run(capsys, "solve", path("town.json"), "--sweep", "4", "--out", str(cert))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", path("town.json"), str(cert))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    doc = json.loads(cert.read_text())
+    doc["certificates"][-1]["p"][1] = [2.0 * v for v in doc["certificates"][-1]["p"][1]]
+    cert.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", path("town.json"), str(cert))
+    assert code == 1
+    report = json.loads(out)["certificates"][-1]
+    assert {"condition": "budget", "agent": 1} in [
+        {"condition": v["condition"], "agent": v["agent"]} for v in report["violations"]
+    ]
+
+
+def test_bargaining_nash_certificate_round_trip(tmp_path, capsys):
+    cert = tmp_path / "nash.json"
+    code, _, _ = run(capsys, "nash", path("cakes-bargaining.json"), "--out", str(cert))
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    assert abs(doc["kkt_residual"]) <= 1e-8
+    code, out, _ = run(capsys, "verify", path("cakes-bargaining.json"), str(cert))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    for moved in ([0.5, 0.9], [0.6, 0.8]):  # dominated, off-Nash
+        doc["point"] = moved
+        cert.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", path("cakes-bargaining.json"), str(cert))
+        assert code == 1
+        assert abs(json.loads(out)["kkt_residual"]) > 1e-8
+    # Infeasible or on the disagreement boundary.  [0.5, 1.2] has a zero
+    # residual: its tangent hyperplane supports B at the vertex (1, 0).
+    for moved in ([0.6, 1.1], [0.5, 1.2], [0.0, 1.0]):
+        doc["point"] = moved
+        cert.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", path("cakes-bargaining.json"), str(cert))
+        assert code == 1
+        report = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        assert report == {"passed": False, "kkt_residual": None}

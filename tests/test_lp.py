@@ -3,7 +3,7 @@ import pytest
 
 from ccm import lp
 
-from _oracles import lp_scipy, lp_vertex_enum
+from _oracles import consumer_lp_path, lp_scipy, lp_vertex_enum
 
 
 def test_town_consumer_lp_against_vertex_enumeration():
@@ -109,6 +109,86 @@ class TestConsumerProblem:
             on = opt.demand > 1e-8
             if on.any():
                 assert np.abs(resid[on]).max() <= 1e-8
+
+
+def _dyadic_row(rng, k, kind):
+    """Utilities in eighths, prices in eighths: frequent ties and zeros.
+
+    kind 0 draws prices independently, kind 1 prices outcomes roughly by
+    their utility (so the best outcome is unaffordable and V falls on a
+    chord at cost 1), kind 2 makes every outcome free.
+    """
+    u = rng.integers(0, 9, size=k) / 8.0
+    if u.max() == 0:
+        u[int(rng.integers(0, k))] = 1.0
+    if kind == 0:
+        p = rng.integers(0, 25, size=k) / 8.0
+    elif kind == 1:
+        p = 2.0 * u + rng.integers(0, 3, size=k) / 8.0
+    else:
+        p = np.zeros(k)
+    return u, p
+
+
+class TestConsumerEnvelope:
+    def test_known_values(self):
+        assert lp.consumer_envelope([1.0, 0.0], [2.0, 0.0]) == (0.5, 1.0)
+        assert lp.consumer_envelope([3.0, 1.0], [0.0, 0.0]) == (3.0, 0.0)
+        assert lp.consumer_envelope([5.0], [4.0]) == (1.25, 1.0)
+        assert lp.consumer_envelope([4.0], [0.0]) == (4.0, 0.0)
+        # Equal utilities: the cheaper outcome sets the minimal cost.
+        assert lp.consumer_envelope([1.0, 1.0], [1.0, 2.0]) == (1.0, 1.0)
+        # Mixing a free outcome with a dear one: (0.5 + 1) / 2 at cost 1.
+        assert lp.consumer_envelope([0.5, 1.0, 0.25], [0.0, 2.0, 0.5]) == (0.75, 1.0)
+
+    def test_minimal_cost_is_exact_at_small_scale(self):
+        # The LP path relaxes the utility floor by about 1e-12, which at this
+        # scale buys a visibly cheaper lottery; the envelope does not.
+        u = np.array([1.0, 0.0, 0.5]) * 1e-6
+        p = np.array([1.0, 0.0, 0.5]) / 0.75
+        value, cost = lp.consumer_envelope(u, p)
+        assert value == pytest.approx(0.75e-6, rel=1e-12)
+        assert cost == pytest.approx(1.0, abs=1e-15)
+        assert consumer_lp_path(u, p)[1] < 1.0 - 1e-7
+
+    def test_rejects_bad_rows(self):
+        with pytest.raises(ValueError, match="no stake"):
+            lp.consumer_envelope([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            lp.consumer_envelope([1.0, 0.0], [-1.0, 1.0])
+        with pytest.raises(ValueError, match="equal length"):
+            lp.consumer_envelope([1.0, 0.0], [1.0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 1024])
+    def test_matches_lp_path_on_dyadic_rows(self, k):
+        rng = np.random.default_rng(100 + k)
+        for t in range(3 if k > 8 else 150):
+            u, p = _dyadic_row(rng, k, t % 3)
+            value, cost = lp.consumer_envelope(u, p)
+            lp_value, lp_cost = consumer_lp_path(u, p)
+            assert isinstance(value, float) and isinstance(cost, float)
+            tol = 1e-9 * (1.0 + abs(value))
+            assert abs(value - lp_value) <= tol
+            assert abs(cost - lp_cost) <= tol
+
+    def test_matches_lp_path_on_continuous_rows(self):
+        # On a nearly flat envelope the LP path's relaxed utility floor lowers
+        # its cost by slack / slope (about 1e-8 on such rows), so its cost is
+        # only a lower bound; the exact cost is checked by vertex enumeration.
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            k = int(rng.integers(1, 8))
+            u = rng.uniform(0, 1, k) * (rng.random(k) > 0.2)
+            p = rng.uniform(0, 3, k) * (rng.random(k) > 0.2)
+            if u.max() == 0:
+                u[0] = 1.0
+            value, cost = lp.consumer_envelope(u, p)
+            lp_value, lp_cost = consumer_lp_path(u, p)
+            tol = 1e-9 * (1.0 + abs(value))
+            assert abs(value - lp_value) <= tol
+            assert lp_cost <= cost + tol
+            neg_cost, _ = lp_vertex_enum(-p, [np.ones(k), -u], [1.0, -value])
+            assert abs(cost + neg_cost) <= tol
 
 
 class TestMinimalCostDemand:

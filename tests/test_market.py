@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccm import lp
 from ccm import market as mk
 from ccm import polytope as pt
 from ccm import solutions as sol
@@ -212,6 +213,31 @@ def test_scale_invariance_of_equilibrium_lottery():
         assert np.allclose(c2.payoffs[1:], c1.payoffs[1:], atol=1e-8)
 
 
+def test_lindahl_from_nash_at_micro_scale():
+    # The minimal-cost check once relaxed the utility floor by an absolute
+    # 1e-12, a relative 1e-6 here, and rejected this exact equilibrium.
+    P = mk.CollectiveProblem(np.array([[1, 0, 0.5], [0, 1, 0.6]]) * 1e-6)
+    cert = mk.lindahl_from_nash(P, np.zeros(2))
+    assert cert is not None
+    assert mk.verify_lindahl(P, cert.p, cert.q).passed
+    assert np.allclose(cert.payoffs, [0.5e-6, 0.6e-6], rtol=1e-8, atol=0)
+
+
+def test_lindahl_from_nash_on_per_agent_rescaled_sample():
+    # 30 problems, each agent's row scaled by exp(U(-2, 2)) * 1e-6.
+    rng = np.random.default_rng(11)
+    raised = []
+    for t in range(30):
+        u = random_collective(rng)
+        factors = np.exp(rng.uniform(-2, 2, u.shape[0])) * 1e-6
+        P = mk.CollectiveProblem(u * factors[:, None])
+        try:
+            mk.lindahl_from_nash(P, np.zeros(P.n))
+        except lp.LpError as exc:
+            raised.append((t, str(exc)))
+    assert raised == []
+
+
 def test_lindahl_payoffs_are_pareto_efficient():
     rng = np.random.default_rng(27)
     for _ in range(25):
@@ -239,6 +265,19 @@ def test_equitable_witness_with_budget_slack_agent():
     w, pay = mk.equitable_witness_from_lindahl(P, p, q)
     assert np.allclose(pay, [1.0, 1.0])
     assert np.allclose(pt.fair_outcome(w), pay, atol=1e-9)
+
+
+def test_first_hit_dedup_matches_the_pairwise_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        centers = rng.integers(0, 4, size=(6, 3)) / 4.0
+        pays = centers[rng.integers(0, 6, size=300)] + rng.uniform(-1e-6, 1e-6, size=(300, 3))
+        expect = []
+        for r, pay in enumerate(pays):  # the quadratic loop the sweep used to run
+            if not any(np.abs(pay - pays[s]).max() <= 1e-6 for s in expect):
+                expect.append(r)
+        assert mk._first_hits(pays, 1e-6) == expect
+    assert mk._first_hits(np.empty((0, 2)), 1e-6) == []
 
 
 def test_sweep_respects_thread_cap(monkeypatch):
