@@ -267,6 +267,23 @@ def test_equitable_witness_with_budget_slack_agent():
     assert np.allclose(pt.fair_outcome(w), pay, atol=1e-9)
 
 
+def test_sweep_of_a_four_agent_matching_problem():
+    # At shift cell 11, columns 1 and 7 both clip to [0, 1, 1.5, 0]; the
+    # log-welfare solver once raised ConvergenceError on this sweep.
+    P = mk.CollectiveProblem(
+        [
+            [0, 0, 0, 0, 0, 1, 0, 0],
+            [0, 1.5, 0, 1, 1, 0, 0, 1.5],
+            [0, 1.5, 0, 0, 1.5, 0.5, 0, 1.5],
+            [0, 0, 2, 0, 2, 0, 1, 1],
+        ]
+    )
+    certs = mk.sweep_lindahl_payoffs(P, 3)
+    assert len(certs) == 2
+    for cert in certs:
+        assert mk.verify_lindahl(P, cert.p, cert.q).passed
+
+
 def test_first_hit_dedup_matches_the_pairwise_loop():
     rng = np.random.default_rng(12)
     for _ in range(20):

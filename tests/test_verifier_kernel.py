@@ -68,7 +68,7 @@ def test_verify_walras_matching_on_swept_matching_problems():
     rng = np.random.default_rng(8)
     done = 0
     while done < 12:
-        n = int(rng.integers(2, 4))
+        n = int(rng.integers(2, 5))
         K = mt.all_involutions(n)
         keep = tuple(j for j in K if rng.uniform() < 0.75) or tuple(K)
         w = rng.integers(0, 5, size=(n, n)) / 2.0
@@ -78,7 +78,7 @@ def test_verify_walras_matching_on_swept_matching_problems():
             P = mt.to_collective(M)
         except ValueError:
             continue
-        for t, c in enumerate(mk.sweep_lindahl_payoffs(P, {2: 32, 3: 8}[n])):
+        for t, c in enumerate(mk.sweep_lindahl_payoffs(P, {2: 32, 3: 8, 4: 3}[n])):
             pi, xi, q = mt.lindahl_to_walras(M, c.p, c.q)
             assert _same_verdict(mt.verify_walras_matching, M, pi, xi, q) == (True, set())
             agent = t % n
