@@ -25,7 +25,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INADMISSIBLE = 2
 EXIT_NON_MEMBER = 3
-EXIT_AT_RESOLUTION = 4
 
 
 def _schema(name: str) -> dict:
@@ -279,12 +278,12 @@ def cmd_equitable(args) -> int:
         B = _bargaining_of(doc)
         x = _parse_vector(args.point)
         try:
-            verdict = solutions.equitable_contains(B, x, grid_steps=args.grid)
+            verdict = solutions.equitable_contains(B, x)
         except ValueError as exc:
             if "outside" in str(exc):
                 payload = _base("equitable", digest, EPS_LP)
                 payload.update({"point": x.tolist(), "status": "non_member_certified",
-                                "witness": None, "resolution": 0, "reason": "not feasible"})
+                                "witness": None, "reason": "not feasible"})
                 _emit(payload, args.out)
                 return EXIT_NON_MEMBER
             raise
@@ -293,7 +292,6 @@ def cmd_equitable(args) -> int:
             {
                 "point": x.tolist(),
                 "status": verdict.status,
-                "resolution": verdict.resolution,
                 "witness": None
                 if verdict.certificate is None
                 else {
@@ -303,11 +301,7 @@ def cmd_equitable(args) -> int:
             }
         )
         _emit(payload, args.out)
-        if verdict.status == solutions.MEMBER:
-            return EXIT_OK
-        if verdict.status == solutions.NON_MEMBER:
-            return EXIT_NON_MEMBER
-        return EXIT_AT_RESOLUTION
+        return EXIT_OK if verdict.is_member else EXIT_NON_MEMBER
     except (ValueError, OSError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
         return _fail(str(exc))
 
@@ -398,7 +392,7 @@ def cmd_match(args) -> int:
             return _fail("shift vector is inadmissible at its Nash allocation", EXIT_INADMISSIBLE)
         pi, xi, q = matching.lindahl_to_walras(M, cert.p, cert.q)
         p_back, q_back = matching.walras_to_lindahl(M, pi, xi, q)
-        payload = _base("walras_matching", digest, args.tol or EPS_LP)
+        payload = _base("walras_matching", digest, EPS_LP)
         payload.update(
             {
                 "pi": pi.tolist(),
@@ -425,23 +419,23 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("problem")
         p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=None)
 
     p_solve = sub.add_parser("solve", help="solve for a Lindahl equilibrium")
     common(p_solve)
+    p_solve.add_argument("--tol", type=float, default=None)
     p_solve.add_argument("--c", default=None, help="utility shift vector, comma separated")
     p_solve.add_argument("--sweep", type=int, default=None, help="sweep grid steps per axis")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="re-check a certificate")
     common(p_verify)
+    p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("certificate")
     p_verify.set_defaults(func=cmd_verify)
 
     p_eq = sub.add_parser("equitable", help="equitable-set membership")
     common(p_eq)
     p_eq.add_argument("--point", required=True, help="payoff vector, comma separated")
-    p_eq.add_argument("--grid", type=int, default=64)
     p_eq.set_defaults(func=cmd_equitable)
 
     p_nash = sub.add_parser("nash", help="Nash allocation / bargaining point")

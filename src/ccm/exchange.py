@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from . import lp
-from .market import CollectiveProblem, Verdict, Violation, verify_lindahl
+from .market import CollectiveProblem, Verdict, Violation, consumer_violations, verify_lindahl
 from .polytope import Polytope, coco_hull, contains, is_pareto_efficient
 from .solutions import _frontier_chain, equitable_set_2d
 from .tolerances import EPS_GEOM, EPS_LP, EPS_SUPP
@@ -30,6 +30,16 @@ _ALLOC_GUARD = 2_000_000
 _GOODS_GUARD = 16
 _FIRM_GUARD = 12
 _CANDIDATE_GUARD = 20_000
+
+
+def _additive_table(weights: np.ndarray) -> np.ndarray:
+    """Additive values over all 2^r bundle masks; weights has shape (..., r)."""
+    r = weights.shape[-1]
+    table = np.zeros(weights.shape[:-1] + (1 << r,))
+    for b in range(r):
+        masks = np.nonzero(np.arange(1 << r) & (1 << b))[0]
+        table[..., masks] += weights[..., b, None]
+    return table
 
 
 def _popcount_masks(r: int) -> np.ndarray:
@@ -94,12 +104,7 @@ class Economy:
         """Per-agent values over all 2^r bundle masks."""
         if self.kind == "table":
             return self.tables
-        r = self.r
-        table = np.zeros((self.n, 1 << r))
-        for b in range(r):
-            masks = np.nonzero(np.arange(1 << r) & (1 << b))[0]
-            table[:, masks] += self.weights[:, b][:, None]
-        return table
+        return _additive_table(self.weights)
 
     def value(self, agent: int, mask: int) -> float:
         if self.kind == "additive":
@@ -164,14 +169,9 @@ class PackagePrices:
             raise ValueError("provide additive or table prices")
 
     def price_vector(self) -> np.ndarray:
-        r = len(self.names)
         if self.table is not None:
             return self.table
-        out = np.zeros(1 << r)
-        for b in range(r):
-            masks = np.nonzero(np.arange(1 << r) & (1 << b))[0]
-            out[masks] += self.additive[b]
-        return out
+        return _additive_table(self.additive)
 
 
 @dataclass(frozen=True)
@@ -245,19 +245,20 @@ def allocation_index(E: Economy, masks) -> int:
     return idx
 
 
-def _allocation_payoffs(E: Economy) -> np.ndarray:
-    """(count, n) payoff matrix over all allocations, vectorized."""
+def _allocation_masks(E: Economy) -> np.ndarray:
+    """(count, n) matrix of each agent's bundle mask, allocations in assignment order."""
     _guard_enumeration(E)
     digits = _assignment_digits(E.n, E.r)
-    table = E.value_table()
     masks = np.zeros((digits.shape[0], E.n), dtype=np.int64)
     for g in range(E.r):
         for i in range(E.n):
             masks[:, i] |= (digits[:, g] == i).astype(np.int64) << g
-    payoffs = np.empty((digits.shape[0], E.n))
-    for i in range(E.n):
-        payoffs[:, i] = table[i, masks[:, i]]
-    return payoffs
+    return masks
+
+
+def _allocation_payoffs(E: Economy) -> np.ndarray:
+    """(count, n) payoff matrix over all allocations, vectorized."""
+    return E.value_table()[np.arange(E.n), _allocation_masks(E)]
 
 
 def bargaining_of_economy(E: Economy) -> Polytope:
@@ -306,19 +307,8 @@ def verify_walras_exchange(
     pv = prices.price_vector()
     table = E.value_table()
     scale = 1.0 + max(table.max(), 1.0)
-    violations: list[Violation] = []
-
-    for i in range(E.n):
-        th = theta.marginal(i, E.r)
-        value = float(table[i] @ th)
-        cost = float(pv @ th)
-        best, min_cost = lp.consumer_envelope(table[i], pv)
-        if best - value > tol * scale:
-            violations.append(Violation("consumer_optimality", i, best - value))
-        if cost - 1.0 > tol * scale:
-            violations.append(Violation("budget", i, cost - 1.0))
-        if cost - min_cost > 10 * tol * scale:
-            violations.append(Violation("minimal_cost", i, cost - min_cost))
+    demand = [theta.marginal(i, E.r) for i in range(E.n)]
+    violations = consumer_violations(table, [pv] * E.n, demand, tol, scale)
 
     revenue = partition_revenue(prices, E.r)
     for w, alloc in zip(theta.weights, theta.allocations):
@@ -342,17 +332,8 @@ def walras_to_lindahl_exchange(
     verdict = verify_walras_exchange(E, prices, theta, tol)
     if not verdict.passed:
         raise ValueError(f"input is not a Walrasian equilibrium: {verdict.violations}")
-    _guard_enumeration(E)
-    pv = prices.price_vector()
-    digits = _assignment_digits(E.n, E.r)
-    p = np.zeros((E.n, digits.shape[0]))
-    masks = np.zeros((digits.shape[0], E.n), dtype=np.int64)
-    for g in range(E.r):
-        for i in range(E.n):
-            masks[:, i] |= (digits[:, g] == i).astype(np.int64) << g
-    for i in range(E.n):
-        p[i] = pv[masks[:, i]]
-    q = np.zeros(digits.shape[0])
+    p = prices.price_vector()[_allocation_masks(E).T]
+    q = np.zeros(p.shape[1])
     for w, alloc in zip(theta.weights, theta.allocations):
         q[allocation_index(E, alloc)] += w
     P = to_collective_exchange(E)

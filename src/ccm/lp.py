@@ -9,17 +9,17 @@ extraction matter more than speed.  Rows and the objective are scaled by
 powers of two before solving, which conditions pivots without introducing
 any rounding of its own.
 
-On top of the raw solver sit the consumer-side helpers.  The equilibrium
-verifiers need two numbers per agent, the consumer value and the minimal
-cost among maximizers; `consumer_envelope` computes both exactly in
-closed form from the upper concave envelope of the (price, utility)
-points, with no LP.  The LP forms remain for callers that need a
-lottery or duals: the budgeted lottery demand problem with its duals
-(mu0, mu1), its minimal-cost refinement, and the supporting shadow prices
-(c, alpha) with alpha * p >= u - c tight on the demand's support.
+The solver serves the general LPs of `polytope` and `solutions`.  The
+consumer problem, max u.q  s.t.  p.q <= 1,  e.q <= 1,  q >= 0, needs no
+LP: every consumer-side quantity comes from one upper concave envelope
+of the (price, utility) points and the origin.  `consumer_envelope`
+reads off the consumer value and the minimal cost among maximizers, and
+`shadow_prices` the supporting prices (c, alpha) with
+alpha * p >= u - c, tight on the demand's support.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,30 +40,6 @@ class LpError(RuntimeError):
 
 class _Unbounded(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """maximize objective . x  s.t.  constraint_matrix @ x <= rhs,  x >= 0."""
-
-    objective: np.ndarray
-    constraint_matrix: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        A = np.asarray(self.constraint_matrix, dtype=float)
-        b = np.asarray(self.rhs, dtype=float)
-        if A.ndim != 2 or c.ndim != 1 or b.ndim != 1:
-            raise ValueError("bad LP shapes")
-        r, m = A.shape
-        if r < 1 or m < 1 or c.shape[0] != m or b.shape[0] != r:
-            raise ValueError("bad LP shapes")
-        if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
-            raise ValueError("LP entries must be finite")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraint_matrix", A)
-        object.__setattr__(self, "rhs", b)
 
 
 @dataclass(frozen=True)
@@ -113,12 +89,21 @@ def _run_simplex(T, basis, eligible, max_iter):
     raise LpError("simplex pivot limit exceeded; cycling or ill-conditioned input")
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve the LP.  Deterministic: identical inputs yield identical output."""
-    c0 = lp.objective
-    A0 = lp.constraint_matrix
-    b0 = lp.rhs
+def solve(c, A, b) -> LpSolution:
+    """maximize c.x  s.t.  A x <= b,  x >= 0.
+
+    Deterministic: identical inputs yield identical output.
+    """
+    c0 = np.asarray(c, dtype=float)
+    A0 = np.asarray(A, dtype=float)
+    b0 = np.asarray(b, dtype=float)
+    if A0.ndim != 2 or c0.ndim != 1 or b0.ndim != 1:
+        raise ValueError("bad LP shapes")
     r, m = A0.shape
+    if r < 1 or m < 1 or c0.shape[0] != m or b0.shape[0] != r:
+        raise ValueError("bad LP shapes")
+    if not (np.isfinite(A0).all() and np.isfinite(b0).all() and np.isfinite(c0).all()):
+        raise ValueError("LP entries must be finite")
 
     # Power-of-two equilibration; exact in binary floating point.
     row_mag = np.maximum(np.abs(A0).max(axis=1), np.abs(b0))
@@ -223,35 +208,6 @@ def _self_check(c, A, b, x, mu, value):
         raise LpError("strong duality violated beyond tolerance")
 
 
-def solve_arrays(c, A, b) -> LpSolution:
-    return solve(LinearProgram(np.asarray(c, float), np.asarray(A, float), np.asarray(b, float)))
-
-
-@dataclass(frozen=True)
-class ConsumerOptimum:
-    value: float
-    demand: np.ndarray
-    mu0: float  # shadow price of the unit-mass constraint e.q <= 1
-    mu1: float  # shadow price of the budget constraint p.q <= 1
-
-
-def consumer_problem(u_i, p_i) -> ConsumerOptimum:
-    """maximize u_i.q  s.t.  p_i.q <= 1,  e.q <= 1,  q >= 0.
-
-    Returns one optimal lottery and the duals (mu0 for mass, mu1 for budget),
-    so that mu1 * p_i^j >= u_i^j - mu0 holds for all outcomes j, with
-    equality wherever q^j > 0.
-    """
-    u = np.asarray(u_i, dtype=float)
-    p = np.asarray(p_i, dtype=float)
-    _check_consumer_inputs(u, p)
-    A = np.vstack([p, np.ones_like(u)])
-    sol = solve_arrays(u, A, np.ones(2))
-    if sol.status != OPTIMAL:  # pragma: no cover - always feasible and bounded
-        raise LpError(f"consumer problem reported {sol.status}")
-    return ConsumerOptimum(sol.objective_value, sol.primal, float(sol.dual[1]), float(sol.dual[0]))
-
-
 def _check_consumer_inputs(u, p):
     if u.ndim != 1 or p.shape != u.shape:
         raise ValueError("utility and price rows must be 1-d and equal length")
@@ -261,23 +217,17 @@ def _check_consumer_inputs(u, p):
         raise ValueError("agent has no stake: utility row is all zeros")
 
 
-def consumer_envelope(u_i, p_i) -> tuple[float, float]:
-    """Consumer value V and the minimal cost among maximizers, in closed form.
+def _envelope(u, p) -> tuple[list[float], list[float]]:
+    """Vertices (costs, utilities) of the consumer's rising upper envelope.
 
     The consumer problem is max u.q  s.t.  p.q <= 1,  e.q <= 1,  q >= 0.
     Its lotteries map (cost, utility) = (p.q, u.q) onto the convex hull of
-    the points (p_j, u_j) and the origin, so V is the maximum over cost <= 1
-    of the hull's upper concave envelope, and the minimal cost is the least
-    cost at which the envelope reaches V.  Only the Pareto staircase (each
-    point strictly above every cheaper one) can lie on the envelope's
-    rising part: when its top is affordable it gives both numbers at once;
-    otherwise the envelope is strictly rising up to cost 1, so the minimal
-    cost is 1 and V is the envelope's height there.  One sort, one running
-    maximum and a monotone chain over the staircase: O(k log k) time and
-    O(k) memory, with no slack on the utility level.
+    the points (p_j, u_j) and the origin.  Only the Pareto staircase (each
+    point strictly above every cheaper one) can lie on the rising part of
+    the hull's upper concave envelope, so one sort, one running maximum and
+    a monotone chain over the staircase give its vertices: costs increase
+    from 0 and utilities strictly increase.
     """
-    u = np.asarray(u_i, dtype=float)
-    p = np.asarray(p_i, dtype=float)
     _check_consumer_inputs(u, p)
     xs = np.concatenate(([0.0], p))
     ys = np.concatenate(([0.0], u))
@@ -286,58 +236,61 @@ def consumer_envelope(u_i, p_i) -> tuple[float, float]:
     stair = np.empty(ys.shape[0], dtype=bool)
     stair[0] = True
     stair[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
-    xs, ys = xs[stair].tolist(), ys[stair].tolist()
-    if xs[-1] <= 1.0:
-        return ys[-1], xs[-1]
-    hull: list[tuple[float, float]] = []
-    for x, y in zip(xs, ys):
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if (x1 - x0) * (y - y0) < (y1 - y0) * (x - x0):
-                break
-            hull.pop()  # (x1, y1) lies on or below the chord
-        hull.append((x, y))
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        if x1 > 1.0:  # the last vertex lies beyond 1, so this always breaks
-            break
+    hx: list[float] = []
+    hy: list[float] = []
+    for x, y in zip(xs[stair].tolist(), ys[stair].tolist()):
+        # Drop the last vertex while it lies on or below the chord to (x, y).
+        while len(hx) >= 2 and (
+            (hx[-1] - hx[-2]) * (y - hy[-2]) >= (hy[-1] - hy[-2]) * (x - hx[-2])
+        ):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
+    return hx, hy
+
+
+def _peak(hx, hy) -> tuple[float, float]:
+    """V and the least cost reaching it, from the envelope's vertices."""
+    if hx[-1] <= 1.0:
+        return hy[-1], hx[-1]
+    j = bisect_right(hx, 1.0)  # hx[j - 1] <= 1 < hx[j]
+    x0, y0, x1, y1 = hx[j - 1], hy[j - 1], hx[j], hy[j]
     return y0 + (y1 - y0) * (1.0 - x0) / (x1 - x0), 1.0
 
 
-def minimal_cost_demand(u_i, p_i):
-    """Among maximizers of the consumer problem, one of minimal expenditure.
+def consumer_envelope(u_i, p_i) -> tuple[float, float]:
+    """Consumer value V and the minimal cost among maximizers, in closed form.
 
-    Returns (q, cost), solved as an LP with the utility floor relaxed by
-    1e-12 * (1 + |V|).  `consumer_envelope` gives the exact minimal cost
-    without a lottery.
+    V is the maximum over cost <= 1 of the upper concave envelope of the
+    points (p_j, u_j) and the origin, and the minimal cost is the least
+    cost at which the envelope reaches V.  When the envelope's top is
+    affordable it gives both numbers at once; otherwise the envelope is
+    strictly rising up to cost 1, so the minimal cost is 1 and V is the
+    envelope's height there.  O(k log k) time and O(k) memory, with no
+    slack on the utility level.
     """
     u = np.asarray(u_i, dtype=float)
     p = np.asarray(p_i, dtype=float)
-    opt = consumer_problem(u, p)
-    k = u.shape[0]
-    scale = 1.0 + abs(opt.value)
-    # minimize p.q == maximize -p.q, keeping utility at its optimum.
-    rows = [np.ones(k), -u]
-    rhs = [1.0, -(opt.value - 1e-12 * scale)]
-    sol = solve_arrays(-p, np.vstack(rows), np.array(rhs))
-    if sol.status != OPTIMAL:  # pragma: no cover
-        raise LpError(f"minimal-cost refinement reported {sol.status}")
-    q = np.where(np.abs(sol.primal) < 1e-11, 0.0, sol.primal)  # snap relaxation dust
-    return q, float(p @ q)
+    return _peak(*_envelope(u, p))
 
 
 def shadow_prices(u_i, p_i, q):
     """Supporting prices (c, alpha) for a minimal-cost optimum with a tight budget.
 
     Requires q to be a unit-mass, minimal-cost maximizer with p_i.q = 1.
-    Returns c >= 0 and alpha > 0 with alpha * p_i^j >= u_i^j - c for every
-    outcome j, holding with equality on the support of q.  When all support
-    utilities coincide and the budget dual degenerates to zero, c is the
-    largest utility among outcomes priced below one.
+    Returns alpha > 0 and c >= 0 (up to rounding) with
+    alpha * p_i^j >= u_i^j - c for every outcome j, holding with equality
+    on the support of q.  The pair is the line of the consumer's upper
+    concave envelope through (1, V).  Where cost 1 lies inside an envelope
+    segment, that segment's intercept and slope are the unique LP duals
+    (mu0, mu1).  Where cost 1 is an envelope vertex, the segment ending
+    there is taken; it supports the concave envelope just as well.
     """
     u = np.asarray(u_i, dtype=float)
     p = np.asarray(p_i, dtype=float)
     qv = np.asarray(q, dtype=float)
-    _check_consumer_inputs(u, p)
+    hx, hy = _envelope(u, p)
     if qv.shape != u.shape or qv.min() < -EPS_LP:
         raise ValueError("q must be a nonnegative lottery over the outcomes")
     scale = 1.0 + max(u.max(), 1.0)
@@ -345,33 +298,20 @@ def shadow_prices(u_i, p_i, q):
         raise ValueError("precondition failed: q does not have unit mass")
     if abs(p @ qv - 1.0) > 1e-7:
         raise ValueError("precondition failed: budget p.q = 1 is not tight")
-    opt = consumer_problem(u, p)
-    if u @ qv < opt.value - 1e-7 * scale:
+    value, min_cost = _peak(hx, hy)
+    if u @ qv < value - 1e-7 * scale:
         raise ValueError("precondition failed: q is not a consumer optimum")
-    _, min_cost = consumer_envelope(u, p)
     if p @ qv > min_cost + 1e-7 * scale:
         raise ValueError("precondition failed: q is not minimal cost")
 
-    support = qv > EPS_SUPP
-    us = u[support]
-    distinct = us.max() - us.min() > 1e-9 * scale
-    if distinct:
-        if opt.mu1 <= EPS_LP:  # pragma: no cover - excluded by the preconditions
-            raise LpError("degenerate budget dual with distinct support utilities")
-        c, alpha = opt.mu0, opt.mu1
-    else:
-        beta = float(us.max())
-        if opt.mu1 > EPS_LP:
-            alpha = opt.mu1
-            c = max(beta - alpha, 0.0)
-        else:
-            cheap = u[p < 1.0 - 1e-9]
-            c = float(cheap.max()) if cheap.size else 0.0
-            alpha = beta - c
-            if alpha <= EPS_LP:
-                raise ValueError("precondition failed: zero surplus over the cheap outcomes")
+    j = min(bisect_left(hx, 1.0), len(hx) - 1)  # hx[j - 1] < 1 <= hx[j], else the top
+    # A lone vertex at cost 0 has no rising segment, hence no surplus.
+    alpha = (hy[j] - hy[j - 1]) / (hx[j] - hx[j - 1]) if j else 0.0
+    c = hy[j - 1] - alpha * hx[j - 1]
+    if alpha <= EPS_LP:
+        raise ValueError("precondition failed: zero surplus over the cheap outcomes")
 
     resid = alpha * p - (u - c)
-    if resid.min() < -1e-8 * scale or np.abs(resid[support]).max() > 1e-8 * scale:
+    if resid.min() < -1e-8 * scale or np.abs(resid[qv > EPS_SUPP]).max() > 1e-8 * scale:
         raise LpError("supporting price validation failed")
     return float(c), float(alpha)

@@ -170,6 +170,33 @@ def _certificate(P, shifted, c, q) -> LindahlCertificate:
     return LindahlCertificate(p=p, q=q, payoffs=alpha + c, alpha=alpha, c=c.copy())
 
 
+def consumer_violations(U, P, X, tol: float, scale: float) -> list[Violation]:
+    """Consumer-side violations of agents with utility, price and demand rows.
+
+    U is an (n, k) array; P and X hold n rows of length k each.  Per
+    agent i: the demand X[i] attains the consumer value of (U[i], P[i]),
+    respects the budget, and is minimal cost among optima.  An agent with
+    no stake gains nothing from spending, so any cost above the tolerance
+    is a minimal-cost violation.
+    """
+    violations: list[Violation] = []
+    for i, (u, p, x, stake) in enumerate(zip(U, P, X, U.max(axis=1) > 0)):
+        value = float(u @ x)
+        cost = float(p @ x)
+        if stake:
+            best, min_cost = lp.consumer_envelope(u, p)
+            cost_slack = 10 * tol * scale
+        else:
+            best, min_cost, cost_slack = value, 0.0, tol * scale
+        if best - value > tol * scale:
+            violations.append(Violation("consumer_optimality", i, best - value))
+        if cost - 1.0 > tol * scale:
+            violations.append(Violation("budget", i, cost - 1.0))
+        if cost - min_cost > cost_slack:
+            violations.append(Violation("minimal_cost", i, cost - min_cost))
+    return violations
+
+
 def verify_lindahl(P: CollectiveProblem, p, q, tol: float = EPS_LP) -> Verdict:
     """Check the equilibrium conditions and report violations with slacks.
 
@@ -184,19 +211,7 @@ def verify_lindahl(P: CollectiveProblem, p, q, tol: float = EPS_LP) -> Verdict:
         raise ValueError("prices must be nonnegative")
     q = validate_lottery(q, P.k)
     scale = 1.0 + max(P.u.max(), 1.0)
-    violations: list[Violation] = []
-
-    for i in range(P.n):
-        value, min_cost = lp.consumer_envelope(P.u[i], p[i])
-        gap = value - float(P.u[i] @ q)
-        if gap > tol * scale:
-            violations.append(Violation("consumer_optimality", i, gap))
-        budget = float(p[i] @ q) - 1.0
-        if budget > tol * scale:
-            violations.append(Violation("budget", i, budget))
-        cost_gap = float(p[i] @ q) - min_cost
-        if cost_gap > 10 * tol * scale:
-            violations.append(Violation("minimal_cost", i, cost_gap))
+    violations = consumer_violations(P.u, p, [q] * P.n, tol, scale)
 
     mass = abs(float(q.sum()) - 1.0)
     if mass > tol:

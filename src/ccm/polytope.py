@@ -115,7 +115,7 @@ def domination_slack(B: Polytope, x) -> float:
     c = np.zeros(m + 2)
     c[m] = 1.0
     c[m + 1] = -1.0
-    sol = lp.solve_arrays(c, A, b)
+    sol = lp.solve(c, A, b)
     if sol.status != lp.OPTIMAL:  # pragma: no cover - simplex-bounded by construction
         raise lp.LpError(f"domination LP reported {sol.status}")
     return float(sol.objective_value)
@@ -145,7 +145,7 @@ def is_pareto_efficient(B: Polytope, x, tol: float = EPS_GEOM) -> bool:
     A[n] = 1.0
     A[n + 1] = -1.0
     b = np.concatenate([-x, [1.0, -1.0]])
-    sol = lp.solve_arrays(G.sum(axis=1), A, b)
+    sol = lp.solve(G.sum(axis=1), A, b)
     if sol.status != lp.OPTIMAL:
         raise lp.LpError(f"efficiency LP reported {sol.status}")
     gap = sol.objective_value - float(x.sum())

@@ -7,6 +7,8 @@ and substituting t_i = 1/(x_i - c_i) turns witness existence into a
 piecewise-linear feasibility problem, solved here by one LP.  For two
 agents the frontier characterization (Pareto efficiency plus midpoint
 domination) is used instead and doubles as an independent cross-check.
+Every verdict is exact: a member with a re-validated certificate, or a
+certified non-member.
 
 Also provided: the Nash bargaining point (log-welfare maximizer), the
 supporting simplex at that point, Nash sustainability (which coincides
@@ -35,21 +37,18 @@ from .tolerances import EPS_GEOM, EPS_OPT
 
 MEMBER = "member_with_certificate"
 NON_MEMBER = "non_member_certified"
-AT_RESOLUTION = "non_member_at_resolution"
 
 
 @dataclass(frozen=True)
 class EquitabilityCertificate:
     witness: SimplexGame
     fair_point: np.ndarray
-    domination_checked: bool
 
 
 @dataclass(frozen=True)
 class EquitableVerdict:
     status: str
     certificate: EquitabilityCertificate | None
-    resolution: int  # 0 means the decision procedure was exact
 
     @property
     def is_member(self) -> bool:
@@ -111,7 +110,7 @@ def _supporting_normal(B: Polytope, x: np.ndarray) -> np.ndarray:
     b = np.concatenate([np.full(m, slack), [1.0, -1.0], np.zeros(n)])
     c = np.zeros(n + 1)
     c[n] = 1.0
-    sol = lp.solve_arrays(c, A, b)
+    sol = lp.solve(c, A, b)
     if sol.status != lp.OPTIMAL or sol.objective_value <= EPS_GEOM:
         raise lp.LpError("no strictly positive supporting normal; point is not efficient")
     return sol.primal[:n]
@@ -164,7 +163,7 @@ def _witness_lp(B: Polytope, x: np.ndarray, tol: float):
         rhs.append(float(n))
     c_obj = np.zeros(nv)
     c_obj[-1] = -1.0
-    sol = lp.solve_arrays(c_obj, np.vstack(rows), np.array(rhs))
+    sol = lp.solve(c_obj, np.vstack(rows), np.array(rhs))
     if sol.status != lp.OPTIMAL:  # pragma: no cover - always feasible and bounded
         raise lp.LpError(f"witness LP reported {sol.status}")
     violation = float(sol.primal[-1])
@@ -173,14 +172,11 @@ def _witness_lp(B: Polytope, x: np.ndarray, tol: float):
     return violation <= tol * n, np.maximum(c, d), violation
 
 
-def equitable_contains(
-    B: Polytope, x, grid_steps: int = 64, tol: float = EPS_GEOM
-) -> EquitableVerdict:
+def equitable_contains(B: Polytope, x, tol: float = EPS_GEOM) -> EquitableVerdict:
     """Decide whether x is a fair outcome of some simplex game dominating B.
 
-    The decision is exact (resolution 0); `grid_steps` is accepted for
-    interface compatibility but no grid search is needed.  Members come
-    with a certificate that re-validates through independent code paths.
+    The decision is exact.  Members come with a certificate that
+    re-validates through independent code paths.
     """
     x = as_point(x, B.dim)
     _require_full_dimensional(B)
@@ -191,24 +187,24 @@ def equitable_contains(
 
     # Necessary conditions with direct certificates.
     if np.any(x - d <= tol):
-        return EquitableVerdict(NON_MEMBER, None, 0)
+        return EquitableVerdict(NON_MEMBER, None)
     if np.any(x < random_dictator_point(B) - tol):
-        return EquitableVerdict(NON_MEMBER, None, 0)
+        return EquitableVerdict(NON_MEMBER, None)
     if not is_pareto_efficient(B, x, tol):
-        return EquitableVerdict(NON_MEMBER, None, 0)
+        return EquitableVerdict(NON_MEMBER, None)
 
     if n == 2:
         # Efficiency plus midpoint domination already checked above: member.
         witness = _two_agent_witness(B, x)
         cert = _certify(B, x, witness, tol)
-        return EquitableVerdict(MEMBER, cert, 0)
+        return EquitableVerdict(MEMBER, cert)
 
     feasible, c, _ = _witness_lp(B, x, tol)
     if not feasible:
-        return EquitableVerdict(NON_MEMBER, None, 0)
+        return EquitableVerdict(NON_MEMBER, None)
     witness = SimplexGame(x - c, c)
     cert = _certify(B, x, witness, tol)
-    return EquitableVerdict(MEMBER, cert, 0)
+    return EquitableVerdict(MEMBER, cert)
 
 
 def _certify(B, x, witness, tol) -> EquitabilityCertificate:
@@ -218,7 +214,7 @@ def _certify(B, x, witness, tol) -> EquitabilityCertificate:
     )
     if not ok or np.abs(fair_outcome(witness) - x).max() > check_tol:
         raise lp.LpError("equitability witness failed re-validation")
-    return EquitabilityCertificate(witness, fair_outcome(witness), True)
+    return EquitabilityCertificate(witness, fair_outcome(witness))
 
 
 def validate_certificate(B: Polytope, x, cert: EquitabilityCertificate, tol: float = 1e-7) -> bool:
@@ -232,16 +228,14 @@ def validate_certificate(B: Polytope, x, cert: EquitabilityCertificate, tol: flo
     return dominates(poly, B, tol) and simplex_dominates(cert.witness, B, tol)
 
 
-def nash_sustainable_contains(
-    B: Polytope, x, grid_steps: int = 64, tol: float = EPS_GEOM
-) -> EquitableVerdict:
+def nash_sustainable_contains(B: Polytope, x, tol: float = EPS_GEOM) -> EquitableVerdict:
     """Membership in the Nash-sustainable set (equal to the equitable set).
 
     Delegates to the equitable test; for members the witness is re-checked
     as a Nash witness by solving for the witness game's own Nash point,
     which must coincide with x.
     """
-    verdict = equitable_contains(B, x, grid_steps=grid_steps, tol=tol)
+    verdict = equitable_contains(B, x, tol=tol)
     if verdict.is_member:
         eta = nash_solution(verdict.certificate.witness.as_polytope())
         if np.abs(eta - as_point(x, B.dim)).max() > 1e-6 * (1.0 + np.abs(eta).max()):

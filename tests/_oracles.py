@@ -4,15 +4,21 @@ Everything here avoids the library's own solution paths: LPs are checked
 by brute-force vertex enumeration (and scipy), log-welfare optima by fine
 grid search over the frontier, and equitability witnesses by the direct
 grid search over candidate simplex-game translations.  The one exception
-is the consumer problem's LP path, kept as the oracle for the closed-form
-`lp.consumer_envelope` that the verifiers use.
+is the consumer problem's LP path (`consumer_problem`,
+`minimal_cost_demand`, `consumer_lp_path`), built on the library's
+tableau `lp.solve`.  It is the oracle for the closed-form
+`lp.consumer_envelope` that the verifiers use and for the supporting
+prices of `lp.shadow_prices`.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
+
+from ccm import lp
 
 
 def lp_vertex_enum(c, A, b):
@@ -52,18 +58,63 @@ def lp_scipy(c, A, b):
     return "optimal", -res.fun, res.x
 
 
+@dataclass(frozen=True)
+class ConsumerOptimum:
+    value: float
+    demand: np.ndarray
+    mu0: float  # shadow price of the unit-mass constraint e.q <= 1
+    mu1: float  # shadow price of the budget constraint p.q <= 1
+
+
+def consumer_problem(u_i, p_i) -> ConsumerOptimum:
+    """maximize u_i.q  s.t.  p_i.q <= 1,  e.q <= 1,  q >= 0.
+
+    Returns one optimal lottery and the duals (mu0 for mass, mu1 for budget),
+    so that mu1 * p_i^j >= u_i^j - mu0 holds for all outcomes j, with
+    equality wherever q^j > 0.
+    """
+    u = np.asarray(u_i, dtype=float)
+    p = np.asarray(p_i, dtype=float)
+    lp._check_consumer_inputs(u, p)
+    A = np.vstack([p, np.ones_like(u)])
+    sol = lp.solve(u, A, np.ones(2))
+    if sol.status != lp.OPTIMAL:  # pragma: no cover - always feasible and bounded
+        raise lp.LpError(f"consumer problem reported {sol.status}")
+    return ConsumerOptimum(sol.objective_value, sol.primal, float(sol.dual[1]), float(sol.dual[0]))
+
+
+def minimal_cost_demand(u_i, p_i):
+    """Among maximizers of the consumer problem, one of minimal expenditure.
+
+    Returns (q, cost), solved as an LP with the utility floor relaxed by
+    1e-12 * (1 + |V|).  `lp.consumer_envelope` gives the exact minimal cost
+    without a lottery.
+    """
+    u = np.asarray(u_i, dtype=float)
+    p = np.asarray(p_i, dtype=float)
+    opt = consumer_problem(u, p)
+    k = u.shape[0]
+    scale = 1.0 + abs(opt.value)
+    # minimize p.q == maximize -p.q, keeping utility at its optimum.
+    rows = [np.ones(k), -u]
+    rhs = [1.0, -(opt.value - 1e-12 * scale)]
+    sol = lp.solve(-p, np.vstack(rows), np.array(rhs))
+    if sol.status != lp.OPTIMAL:  # pragma: no cover
+        raise lp.LpError(f"minimal-cost refinement reported {sol.status}")
+    q = np.where(np.abs(sol.primal) < 1e-11, 0.0, sol.primal)  # snap relaxation dust
+    return q, float(p @ q)
+
+
 def consumer_lp_path(u, p):
     """(V, minimal cost) of the consumer problem by tableau LPs.
 
-    V comes from `lp.consumer_problem`; the cost from `lp.minimal_cost_demand`,
+    V comes from `consumer_problem`; the cost from `minimal_cost_demand`,
     whose utility floor is relaxed by 1e-12 * (1 + |V|).  This is the path the
     verifiers took before `lp.consumer_envelope`; it has the same signature,
     so a test can patch it in to get the LP-path verdict.
     """
-    from ccm import lp
-
-    value = lp.consumer_problem(u, p).value
-    _, cost = lp.minimal_cost_demand(u, p)
+    value = consumer_problem(u, p).value
+    _, cost = minimal_cost_demand(u, p)
     return value, cost
 
 

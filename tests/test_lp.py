@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from ccm import lp
+from ccm import market as mk
 
-from _oracles import consumer_lp_path, lp_scipy, lp_vertex_enum
+from _oracles import (
+    consumer_lp_path,
+    consumer_problem,
+    lp_scipy,
+    lp_vertex_enum,
+    minimal_cost_demand,
+    random_collective,
+)
 
 
 def test_town_consumer_lp_against_vertex_enumeration():
@@ -12,20 +20,20 @@ def test_town_consumer_lp_against_vertex_enumeration():
     b = [1.0, 1.0]
     expect, _ = lp_vertex_enum(c, A, b)
     assert expect == pytest.approx(0.5, abs=1e-12)
-    sol = lp.solve_arrays(c, A, b)
+    sol = lp.solve(c, A, b)
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(0.5, abs=1e-9)
     assert np.allclose(sol.dual, [0.5, 0.0], atol=1e-9)
 
 
 def test_zero_objective_and_unbounded():
-    sol = lp.solve_arrays([0.0], [[1.0]], [1.0])
+    sol = lp.solve([0.0], [[1.0]], [1.0])
     assert sol.status == lp.OPTIMAL and sol.objective_value == 0.0
-    assert lp.solve_arrays([1.0], [[-1.0]], [1.0]).status == lp.UNBOUNDED
+    assert lp.solve([1.0], [[-1.0]], [1.0]).status == lp.UNBOUNDED
 
 
 def test_infeasible():
-    assert lp.solve_arrays([0.0], [[1.0], [-1.0]], [1.0, -3.0]).status == lp.INFEASIBLE
+    assert lp.solve([0.0], [[1.0], [-1.0]], [1.0, -3.0]).status == lp.INFEASIBLE
 
 
 def test_determinism_bit_identical():
@@ -33,8 +41,8 @@ def test_determinism_bit_identical():
     A = rng.uniform(-1, 2, (4, 5))
     b = rng.uniform(0.5, 2, 4)
     c = rng.uniform(-1, 2, 5)
-    s1 = lp.solve_arrays(c, A, b)
-    s2 = lp.solve_arrays(c, A, b)
+    s1 = lp.solve(c, A, b)
+    s2 = lp.solve(c, A, b)
     assert np.array_equal(s1.primal, s2.primal)
     assert np.array_equal(s1.dual, s2.dual)
     assert s1.objective_value == s2.objective_value
@@ -49,7 +57,7 @@ def test_random_lps_match_scipy(seed):
         A = rng.uniform(-1, 2, (r, m))
         b = rng.uniform(-0.5, 2, r)
         c = rng.uniform(-1, 2, m)
-        ours = lp.solve_arrays(c, A, b)
+        ours = lp.solve(c, A, b)
         status, val, _ = lp_scipy(c, A, b)
         assert ours.status == status
         if status == lp.OPTIMAL:
@@ -64,7 +72,7 @@ def test_duality_and_complementary_slackness_residuals():
         A = rng.uniform(0, 2, (r, m))
         b = rng.uniform(0.1, 2, r)
         c = rng.uniform(0, 2, m)
-        sol = lp.solve_arrays(c, A, b)
+        sol = lp.solve(c, A, b)
         assert sol.status == lp.OPTIMAL
         gap = abs(c @ sol.primal - b @ sol.dual)
         assert gap <= 1e-9 * (1 + abs(sol.objective_value))
@@ -74,25 +82,25 @@ def test_duality_and_complementary_slackness_residuals():
 
 class TestConsumerProblem:
     def test_town_agent(self):
-        opt = lp.consumer_problem([1.0, 0.0], [2.0, 0.0])
+        opt = consumer_problem([1.0, 0.0], [2.0, 0.0])
         assert opt.value == pytest.approx(0.5, abs=1e-9)
         assert opt.mu0 == pytest.approx(0.0, abs=1e-9)
         assert opt.mu1 == pytest.approx(0.5, abs=1e-9)
 
     def test_single_outcome(self):
-        opt = lp.consumer_problem([5.0], [1.0])
+        opt = consumer_problem([5.0], [1.0])
         assert opt.value == pytest.approx(5.0, abs=1e-9)
         assert np.allclose(opt.demand, [1.0], atol=1e-9)
 
     def test_free_goods_budget_slack(self):
-        opt = lp.consumer_problem([3.0, 1.0], [0.0, 0.0])
+        opt = consumer_problem([3.0, 1.0], [0.0, 0.0])
         assert opt.value == pytest.approx(3.0, abs=1e-9)
         assert np.allclose(opt.demand, [1.0, 0.0], atol=1e-9)
         assert opt.mu1 == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_zero_stake(self):
         with pytest.raises(ValueError, match="no stake"):
-            lp.consumer_problem([0.0, 0.0], [1.0, 1.0])
+            consumer_problem([0.0, 0.0], [1.0, 1.0])
 
     def test_dual_supports_utilities(self):
         rng = np.random.default_rng(5)
@@ -102,7 +110,7 @@ class TestConsumerProblem:
             if u.max() == 0:
                 u[int(rng.integers(0, k))] = 1.0
             p = rng.integers(0, 5, size=k) / 2.0
-            opt = lp.consumer_problem(u, p)
+            opt = consumer_problem(u, p)
             # mu1 * p >= u - mu0 everywhere, equality on the support.
             resid = opt.mu1 * p - (u - opt.mu0)
             assert resid.min() >= -1e-9
@@ -193,17 +201,17 @@ class TestConsumerEnvelope:
 
 class TestMinimalCostDemand:
     def test_equal_utilities_pick_cheap_outcome(self):
-        q, cost = lp.minimal_cost_demand([1.0, 1.0], [1.0, 2.0])
+        q, cost = minimal_cost_demand([1.0, 1.0], [1.0, 2.0])
         assert np.allclose(q, [1.0, 0.0], atol=1e-9)
         assert cost == pytest.approx(1.0, abs=1e-9)
 
     def test_town_minimal_cost(self):
-        q, cost = lp.minimal_cost_demand([1.0, 0.0], [2.0, 0.0])
+        q, cost = minimal_cost_demand([1.0, 0.0], [2.0, 0.0])
         assert cost == pytest.approx(1.0, abs=1e-9)
         assert q[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_free_single_good(self):
-        q, cost = lp.minimal_cost_demand([4.0], [0.0])
+        q, cost = minimal_cost_demand([4.0], [0.0])
         assert np.allclose(q, [1.0])
         assert cost == 0.0
 
@@ -213,8 +221,8 @@ class TestMinimalCostDemand:
             k = int(rng.integers(2, 6))
             u = rng.integers(1, 9, size=k) / 8.0
             p = rng.integers(0, 5, size=k) / 2.0
-            opt = lp.consumer_problem(u, p)
-            q, cost = lp.minimal_cost_demand(u, p)
+            opt = consumer_problem(u, p)
+            q, cost = minimal_cost_demand(u, p)
             assert u @ q == pytest.approx(opt.value, abs=1e-8)
             assert cost <= p @ opt.demand + 1e-8
 
@@ -234,14 +242,23 @@ class TestShadowPrices:
         assert (c, a) == (pytest.approx(0.0), pytest.approx(5.0))
 
     def test_cheap_outcome_rule(self):
-        # Equal support utilities, degenerate budget dual, one cheap outcome.
+        # Equal support utilities and one cheap outcome: cost 1 is an envelope
+        # vertex, and the segment ending there, from (0.5, 1.5) to (1, 2), gives
+        # the pair.
         u = [2.0, 2.0, 1.5]
         p = [1.0, 1.0, 0.5]
         q = [0.5, 0.5, 0.0]
         c, a = lp.shadow_prices(u, p, q)
+        assert (c, a) == (1.0, 1.0)
         resid = a * np.asarray(p) - (np.asarray(u) - c)
         assert resid.min() >= -1e-8
         assert abs(resid[0]) <= 1e-8 and abs(resid[1]) <= 1e-8
+
+    def test_vertex_at_cost_one_takes_the_segment_ending_there(self):
+        # Envelope (0, 0), (1, 1), (2, 1.5): both segments at the vertex (1, 1)
+        # support it; the rule takes the one ending there, not (0.5, 0.5).
+        c, a = lp.shadow_prices([1.0, 1.5], [1.0, 2.0], [1.0, 0.0])
+        assert (c, a) == (0.0, 1.0)
 
     def test_precondition_violations_are_reported(self):
         with pytest.raises(ValueError, match="unit mass"):
@@ -252,3 +269,51 @@ class TestShadowPrices:
             lp.shadow_prices([1.0, 2.0], [2.0, 0.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="not minimal cost"):
             lp.shadow_prices([1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.5, 0.5, 0.0])
+
+
+@pytest.fixture(scope="module")
+def equilibrium_rows():
+    """(u_i, p_i, q) rows of verified equilibria with tight budgets.
+
+    Acceptance criterion 7's instances (zero-shift equilibria of 60 random
+    problems, numpy seed 17) and the sweep certificates of the first six
+    seed-2026 corpus problems.
+    """
+    rows = []
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        P = mk.CollectiveProblem(random_collective(rng))
+        cert = mk.lindahl_from_nash(P, np.zeros(P.n))
+        rows += [(P.u[i], cert.p[i], cert.q) for i in range(P.n)]
+    rng = np.random.default_rng(2026)
+    for t in range(6):
+        n = 2 if t % 2 == 0 else 3
+        P = mk.CollectiveProblem(random_collective(rng, n=n))
+        for cert in mk.sweep_lindahl_payoffs(P, 64 if n == 2 else 8):
+            rows += [(P.u[i], cert.p[i], cert.q) for i in range(P.n)]
+    return rows
+
+
+class TestShadowPricesOnEquilibria:
+    def test_support_every_row_and_bind_on_the_support(self, equilibrium_rows):
+        for u, p, q in equilibrium_rows:
+            c, a = lp.shadow_prices(u, p, q)
+            assert a > 0 and c >= 0
+            resid = a * p - (u - c)
+            assert resid.min() >= -1e-12
+            assert np.abs(resid[q > 1e-8]).max() <= 1e-12
+
+    def test_equal_the_lp_duals_inside_an_envelope_segment(self, equilibrium_rows):
+        # Where cost 1 lies strictly inside an envelope segment the LP dual
+        # (mu0, mu1) is unique, so both paths must give the same pair.
+        inside = 0
+        for u, p, q in equilibrium_rows:
+            costs, _ = lp._envelope(u, p)
+            if costs[-1] <= 1.0 or 1.0 in costs:
+                continue
+            c, a = lp.shadow_prices(u, p, q)
+            opt = consumer_problem(u, p)
+            assert abs(c - opt.mu0) <= 1e-12 * (1.0 + abs(c))
+            assert abs(a - opt.mu1) <= 1e-12 * (1.0 + a)
+            inside += 1
+        assert inside >= 0.9 * len(equilibrium_rows)

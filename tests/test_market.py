@@ -267,6 +267,21 @@ def test_equitable_witness_with_budget_slack_agent():
     assert np.allclose(pt.fair_outcome(w), pay, atol=1e-9)
 
 
+def test_equitable_witness_from_lindahl_on_corpus_sweeps():
+    rng = np.random.default_rng(2026)
+    checked = 0
+    for t in range(16):
+        n = 2 if t % 2 == 0 else 3
+        P = mk.CollectiveProblem(random_collective(rng, n=n))
+        B = mk.bargaining_of(P)
+        for cert in mk.sweep_lindahl_payoffs(P, 16 if n == 2 else 6):
+            w, pay = mk.equitable_witness_from_lindahl(P, cert.p, cert.q)
+            witness = sol.EquitabilityCertificate(w, pt.fair_outcome(w))
+            assert sol.validate_certificate(B, pay, witness)
+            checked += 1
+    assert checked >= 200
+
+
 def test_sweep_of_a_four_agent_matching_problem():
     # At shift cell 11, columns 1 and 7 both clip to [0, 1, 1.5, 0]; the
     # log-welfare solver once raised ConvergenceError on this sweep.

@@ -106,6 +106,29 @@ class TestVerifyWalras:
         conditions = {x.condition for x in v.violations}
         assert "firm_revenue" in conditions or "consumer_optimality" in conditions
 
+    def test_zero_stake_agent_must_not_pay(self):
+        # Agent 1 values nobody, so any cost above tol * scale (2e-9 here) is a
+        # minimal-cost violation; the 10 * tol * scale slack of agents with a
+        # stake does not apply.
+        M = mt.MatchingProblem(matchings=((0, 1), (1, 0)), w=[[0, 1], [0, 0]])
+        xi = np.array([[0.0, 1.0], [1.0, 0.0]])
+        q = np.array([0.0, 1.0])
+        for cost, passed in ((1.5e-9, True), (5e-9, False), (1.5e-8, False)):
+            pi = np.array([[0.0, 1.0], [cost, 0.0]])
+            v = mt.verify_walras_matching(M, pi, xi, q)
+            assert v.passed is passed
+            if not passed:
+                assert [(x.condition, x.agent) for x in v.violations] == [("minimal_cost", 1)]
+                assert v.violations[0].residual == cost
+
+    def test_prices_within_tolerance_below_zero_are_accepted(self):
+        # The input check allows prices down to -tol; they once reached the
+        # consumer kernel and raised "utilities and prices must be nonnegative".
+        M = mutual_pair()
+        pi = np.array([[0.0, 1.0], [1.0, -1e-12]])
+        xi = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert mt.verify_walras_matching(M, pi, xi, np.array([0.0, 1.0])).passed
+
 
 class TestTheoremThreePipelines:
     def test_pair_round_trip(self):

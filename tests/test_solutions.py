@@ -90,7 +90,7 @@ class TestEquitableContains:
         assert v.is_member
         assert sol.validate_certificate(CAKE, [0.5, 1.0], v.certificate)
         named = pt.SimplexGame([0.5, 1.0], [0.0, 0.0])  # coco{(0,0),(1,0),(0,2)}
-        cert = sol.EquitabilityCertificate(named, pt.fair_outcome(named), True)
+        cert = sol.EquitabilityCertificate(named, pt.fair_outcome(named))
         assert sol.validate_certificate(CAKE, [0.5, 1.0], cert)
 
     def test_unit_simplex_center(self):
@@ -100,7 +100,6 @@ class TestEquitableContains:
     def test_three_person_blocked_point(self):
         v = sol.equitable_contains(THREE_PERSON, [1 / 3, 1 / 3, 1.0])
         assert v.status == sol.NON_MEMBER
-        assert v.resolution == 0
         # The direct grid search agrees: no translation works at depth 64.
         assert witness_grid_search(THREE_PERSON.generators, [1 / 3, 1 / 3, 1.0], 64) is None
 
