@@ -43,6 +43,7 @@ import numpy as np
 
 _SUPP_EPS = 1e-10
 _NEWTON_SLICE = 1024
+_SUPPORT_ROUNDS = 10
 
 
 class ConvergenceError(RuntimeError):
@@ -167,7 +168,7 @@ def _newton_group(Cg, lamS, iters):
     return np.take_along_axis(lamS, rep, axis=0) * share
 
 
-def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64, support_rounds=10):
+def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
     """Batched solve.  C has shape (cells, n, m), nonnegative, nonzero rows.
 
     Returns (lam, value, residual) with lam of shape (cells, m).  Raises
@@ -194,7 +195,7 @@ def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64, support_rounds=10):
     phi = _gradients(C, x)
     f = np.empty(b)
     resid = np.empty(b)
-    for _ in range(support_rounds):
+    for _ in range(_SUPPORT_ROUNDS):
         supp = (lam[:, todo] > _SUPP_EPS) | (phi > n * (1.0 + 1e-12))
         patterns, group = np.unique(supp.T, axis=0, return_inverse=True)
         group = group.ravel()

@@ -16,10 +16,9 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
+from . import __version__ as VERSION
 from . import exchange, market, matching, polytope, solutions
 from .tolerances import EPS_LP
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -132,54 +131,48 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def cmd_solve(args) -> int:
-    try:
-        doc, digest = _load_problem(args.problem)
-        if doc["type"] == "bargaining":
-            return _fail("bargaining files have no market to solve; use nash or equitable")
-        P = _collective_of(doc)
-        tol = args.tol or EPS_LP
-        if args.sweep:
-            certs = market.sweep_lindahl_payoffs(P, grid_steps=args.sweep, tol=tol)
-            payload = _base("lindahl_sweep", digest, tol)
-            payload["certificates"] = [_lindahl_payload(c) for c in certs]
-            payload["payoffs"] = [c.payoffs.tolist() for c in certs]
-            _emit(payload, args.out)
-            return EXIT_OK
-        c = _parse_vector(args.c) if args.c else np.zeros(P.n)
-        if c.shape != (P.n,):
-            return _fail("shift vector has the wrong length")
-        cert = market.lindahl_from_nash(P, c)
-        if cert is None:
-            return _fail("shift vector is inadmissible at its Nash allocation", EXIT_INADMISSIBLE)
-        payload = _base("lindahl", digest, tol)
-        payload.update(_lindahl_payload(cert))
-        if doc["type"] == "matching":
-            M = _matching_of(doc)
-            pi, xi, q = matching.lindahl_to_walras(M, cert.p, cert.q, tol)
-            payload["kind"] = "walras_matching"
-            payload["pi"] = pi.tolist()
-            payload["xi"] = xi.tolist()
-            payload["lints"] = matching.price_coherence_lint(M, cert.p, cert.q)
+    doc, digest = _load_problem(args.problem)
+    if doc["type"] == "bargaining":
+        return _fail("bargaining files have no market to solve; use nash or equitable")
+    P = _collective_of(doc)
+    tol = args.tol or EPS_LP
+    if args.sweep:
+        certs = market.sweep_lindahl_payoffs(P, grid_steps=args.sweep, tol=tol)
+        payload = _base("lindahl_sweep", digest, tol)
+        payload["certificates"] = [_lindahl_payload(c) for c in certs]
+        payload["payoffs"] = [c.payoffs.tolist() for c in certs]
         _emit(payload, args.out)
         return EXIT_OK
-    except (ValueError, OSError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
-        return _fail(str(exc))
+    c = _parse_vector(args.c) if args.c else np.zeros(P.n)
+    if c.shape != (P.n,):
+        return _fail("shift vector has the wrong length")
+    cert = market.lindahl_from_nash(P, c, tol)
+    if cert is None:
+        return _fail("shift vector is inadmissible at its Nash allocation", EXIT_INADMISSIBLE)
+    payload = _base("lindahl", digest, tol)
+    payload.update(_lindahl_payload(cert))
+    if doc["type"] == "matching":
+        M = _matching_of(doc)
+        pi, xi, q = matching.lindahl_to_walras(M, cert.p, cert.q, tol)
+        payload["kind"] = "walras_matching"
+        payload["pi"] = pi.tolist()
+        payload["xi"] = xi.tolist()
+        payload["lints"] = matching.price_coherence_lint(M, cert.p, cert.q)
+    _emit(payload, args.out)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        doc, digest = _load_problem(args.problem)
-        with open(args.certificate) as fh:
-            cert = json.load(fh)
-        jsonschema.validate(cert, _schema("certificate.schema.json"))
-        if cert["problem_sha256"] != digest:
-            return _fail("certificate does not match this problem (stale hash)")
-        tol = args.tol or cert.get("tolerances", {}).get("eps_lp", EPS_LP)
-        report = _reverify(doc, cert, tol)
-        _emit(report, args.out)
-        return EXIT_OK if report["passed"] else EXIT_ERROR
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
-        return _fail(str(exc))
+    doc, digest = _load_problem(args.problem)
+    with open(args.certificate) as fh:
+        cert = json.load(fh)
+    jsonschema.validate(cert, _schema("certificate.schema.json"))
+    if cert["problem_sha256"] != digest:
+        return _fail("certificate does not match this problem (stale hash)")
+    tol = args.tol or cert.get("tolerances", {}).get("eps_lp", EPS_LP)
+    report = _reverify(doc, cert, tol)
+    _emit(report, args.out)
+    return EXIT_OK if report["passed"] else EXIT_ERROR
 
 
 def _verdict_json(verdict) -> dict:
@@ -273,92 +266,83 @@ def _point_nash_residual(B: polytope.Polytope, x: np.ndarray) -> float | None:
 
 
 def cmd_equitable(args) -> int:
+    doc, digest = _load_problem(args.problem)
+    B = _bargaining_of(doc)
+    x = _parse_vector(args.point)
     try:
-        doc, digest = _load_problem(args.problem)
-        B = _bargaining_of(doc)
-        x = _parse_vector(args.point)
-        try:
-            verdict = solutions.equitable_contains(B, x)
-        except ValueError as exc:
-            if "outside" in str(exc):
-                payload = _base("equitable", digest, EPS_LP)
-                payload.update({"point": x.tolist(), "status": "non_member_certified",
-                                "witness": None, "reason": "not feasible"})
-                _emit(payload, args.out)
-                return EXIT_NON_MEMBER
-            raise
-        payload = _base("equitable", digest, EPS_LP)
-        payload.update(
-            {
-                "point": x.tolist(),
-                "status": verdict.status,
-                "witness": None
-                if verdict.certificate is None
-                else {
-                    "scale": verdict.certificate.witness.scale.tolist(),
-                    "base": verdict.certificate.witness.base.tolist(),
-                },
-            }
-        )
-        _emit(payload, args.out)
-        return EXIT_OK if verdict.is_member else EXIT_NON_MEMBER
-    except (ValueError, OSError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
-        return _fail(str(exc))
+        verdict = solutions.equitable_contains(B, x)
+    except ValueError as exc:
+        if "outside" in str(exc):
+            payload = _base("equitable", digest, EPS_LP)
+            payload.update({"point": x.tolist(), "status": "non_member_certified",
+                            "witness": None, "reason": "not feasible"})
+            _emit(payload, args.out)
+            return EXIT_NON_MEMBER
+        raise
+    payload = _base("equitable", digest, EPS_LP)
+    payload.update(
+        {
+            "point": x.tolist(),
+            "status": verdict.status,
+            "witness": None
+            if verdict.certificate is None
+            else {
+                "scale": verdict.certificate.witness.scale.tolist(),
+                "base": verdict.certificate.witness.base.tolist(),
+            },
+        }
+    )
+    _emit(payload, args.out)
+    return EXIT_OK if verdict.is_member else EXIT_NON_MEMBER
 
 
 def cmd_nash(args) -> int:
-    try:
-        doc, digest = _load_problem(args.problem)
-        payload = _base("nash", digest, EPS_LP)
-        if doc["type"] == "bargaining":
-            B = _bargaining_of(doc)
-            point = solutions.nash_solution(B)
-            payload.update(
-                {"point": point.tolist(), "q": [], "kkt_residual": _point_nash_residual(B, point)}
-            )
-        else:
-            P = _collective_of(doc)
-            q = market.nash_allocation(P)
-            payload.update(
-                {
-                    "q": q.tolist(),
-                    "payoffs": (P.u @ q).tolist(),
-                    "kkt_residual": _nash_residual(P, q),
-                }
-            )
-        _emit(payload, args.out)
-        return EXIT_OK
-    except (ValueError, OSError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
-        return _fail(str(exc))
+    doc, digest = _load_problem(args.problem)
+    payload = _base("nash", digest, EPS_LP)
+    if doc["type"] == "bargaining":
+        B = _bargaining_of(doc)
+        point = solutions.nash_solution(B)
+        payload.update(
+            {"point": point.tolist(), "q": [], "kkt_residual": _point_nash_residual(B, point)}
+        )
+    else:
+        P = _collective_of(doc)
+        q = market.nash_allocation(P)
+        payload.update(
+            {
+                "q": q.tolist(),
+                "payoffs": (P.u @ q).tolist(),
+                "kkt_residual": _nash_residual(P, q),
+            }
+        )
+    _emit(payload, args.out)
+    return EXIT_OK
 
 
 def cmd_commodify(args) -> int:
-    try:
-        doc, _ = _load_problem(args.problem)
-        if doc["type"] != "bargaining":
-            return _fail("commodify expects a bargaining problem file")
-        B = _bargaining_of(doc)
-        if args.mode == "two":
-            E = exchange.commodify_two(B)
-            out = {
-                "type": "economy",
-                "kind": "additive",
-                "goods": list(E.names),
-                "weights": [[repr(float(x)) for x in row] for row in E.weights],
-            }
-        else:
-            E = exchange.commodify_general(B)
-            out = {
-                "type": "economy",
-                "kind": "table",
-                "goods": list(E.names),
-                "agents": E.n,
-                "bundles": _sparse_bundles(E),
-            }
-        _emit(out, args.out)
-        return EXIT_OK
-    except (ValueError, OSError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
-        return _fail(str(exc))
+    doc, _ = _load_problem(args.problem)
+    if doc["type"] != "bargaining":
+        return _fail("commodify expects a bargaining problem file")
+    B = _bargaining_of(doc)
+    if args.mode == "two":
+        E = exchange.commodify_two(B)
+        out = {
+            "type": "economy",
+            "kind": "additive",
+            "goods": list(E.names),
+            "weights": [[repr(float(x)) for x in row] for row in E.weights],
+        }
+    else:
+        E = exchange.commodify_general(B)
+        out = {
+            "type": "economy",
+            "kind": "table",
+            "goods": list(E.names),
+            "agents": E.n,
+            "bundles": _sparse_bundles(E),
+        }
+    _emit(out, args.out)
+    return EXIT_OK
 
 
 def _sparse_bundles(E: exchange.Economy) -> list[dict]:
@@ -380,36 +364,33 @@ def _sparse_bundles(E: exchange.Economy) -> list[dict]:
 
 
 def cmd_match(args) -> int:
-    try:
-        doc, digest = _load_problem(args.problem)
-        if doc["type"] != "matching":
-            return _fail("match expects a matching problem file")
-        M = _matching_of(doc)
-        P = matching.to_collective(M)
-        c = _parse_vector(args.c) if args.c else np.zeros(P.n)
-        cert = market.lindahl_from_nash(P, c)
-        if cert is None:
-            return _fail("shift vector is inadmissible at its Nash allocation", EXIT_INADMISSIBLE)
-        pi, xi, q = matching.lindahl_to_walras(M, cert.p, cert.q)
-        p_back, q_back = matching.walras_to_lindahl(M, pi, xi, q)
-        payload = _base("walras_matching", digest, EPS_LP)
-        payload.update(
-            {
-                "pi": pi.tolist(),
-                "xi": xi.tolist(),
-                "q": q.tolist(),
-                "payoffs": cert.payoffs.tolist(),
-                "p": p_back.tolist(),
-                "lints": matching.price_coherence_lint(M, cert.p, cert.q),
-                "round_trip_payoff_gap": float(
-                    np.abs(P.u @ q_back - cert.payoffs).max()
-                ),
-            }
-        )
-        _emit(payload, args.out)
-        return EXIT_OK
-    except (ValueError, OSError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
-        return _fail(str(exc))
+    doc, digest = _load_problem(args.problem)
+    if doc["type"] != "matching":
+        return _fail("match expects a matching problem file")
+    M = _matching_of(doc)
+    P = matching.to_collective(M)
+    c = _parse_vector(args.c) if args.c else np.zeros(P.n)
+    cert = market.lindahl_from_nash(P, c)
+    if cert is None:
+        return _fail("shift vector is inadmissible at its Nash allocation", EXIT_INADMISSIBLE)
+    pi, xi, q = matching.lindahl_to_walras(M, cert.p, cert.q)
+    p_back, q_back = matching.walras_to_lindahl(M, pi, xi, q)
+    payload = _base("walras_matching", digest, EPS_LP)
+    payload.update(
+        {
+            "pi": pi.tolist(),
+            "xi": xi.tolist(),
+            "q": q.tolist(),
+            "payoffs": cert.payoffs.tolist(),
+            "p": p_back.tolist(),
+            "lints": matching.price_coherence_lint(M, cert.p, cert.q),
+            "round_trip_payoff_gap": float(
+                np.abs(P.u @ q_back - cert.payoffs).max()
+            ),
+        }
+    )
+    _emit(payload, args.out)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -453,7 +434,10 @@ def main(argv=None) -> int:
     p_match.set_defaults(func=cmd_match)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -42,14 +42,6 @@ def _additive_table(weights: np.ndarray) -> np.ndarray:
     return table
 
 
-def _popcount_masks(r: int) -> np.ndarray:
-    masks = np.arange(1 << r, dtype=np.int64)
-    out = np.zeros(1 << r, dtype=np.int64)
-    for b in range(r):
-        out += (masks >> b) & 1
-    return out
-
-
 @dataclass(frozen=True)
 class Economy:
     """Monotone bundle utilities for n agents over goods named `names`."""
@@ -107,10 +99,7 @@ class Economy:
         return _additive_table(self.weights)
 
     def value(self, agent: int, mask: int) -> float:
-        if self.kind == "additive":
-            bits = [b for b in range(self.r) if mask >> b & 1]
-            return float(self.weights[agent, bits].sum())
-        return float(self.tables[agent, mask])
+        return float(self.value_table()[agent, mask])
 
 
 def economy_from_bundle_values(n: int, names, bundles) -> Economy:
@@ -214,22 +203,9 @@ def _assignment_digits(n: int, r: int) -> np.ndarray:
     return digits
 
 
-def _guard_enumeration(E: Economy):
-    if (E.n + 1) ** E.r > _ALLOC_GUARD:
-        raise ValueError("allocation enumeration guard exceeded: (n+1)^r too large")
-
-
 def enumerate_allocations(E: Economy) -> list[tuple[int, ...]]:
     """All allocations (goods may stay unassigned), in assignment order."""
-    _guard_enumeration(E)
-    out = []
-    for assign in product(range(E.n + 1), repeat=E.r):
-        masks = [0] * E.n
-        for g, owner in enumerate(assign):
-            if owner < E.n:
-                masks[owner] |= 1 << g
-        out.append(tuple(masks))
-    return out
+    return [tuple(a) for a in _allocation_masks(E).tolist()]
 
 
 def allocation_index(E: Economy, masks) -> int:
@@ -246,8 +222,14 @@ def allocation_index(E: Economy, masks) -> int:
 
 
 def _allocation_masks(E: Economy) -> np.ndarray:
-    """(count, n) matrix of each agent's bundle mask, allocations in assignment order."""
-    _guard_enumeration(E)
+    """(count, n) matrix of each agent's bundle mask, allocations in assignment order.
+
+    Assignment order reads each allocation as the base-(n+1) number whose
+    digit g, most significant first, is the owner of good g (n for
+    unassigned); `allocation_index` inverts it.
+    """
+    if (E.n + 1) ** E.r > _ALLOC_GUARD:
+        raise ValueError("allocation enumeration guard exceeded: (n+1)^r too large")
     digits = _assignment_digits(E.n, E.r)
     masks = np.zeros((digits.shape[0], E.n), dtype=np.int64)
     for g in range(E.r):

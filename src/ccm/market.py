@@ -144,23 +144,23 @@ def admissible(P: CollectiveProblem, c, q, tol: float = EPS_LP) -> bool:
     return bool(np.all(P.u[:, support] >= c[:, None] - tol))
 
 
-def lindahl_from_nash(P: CollectiveProblem, c, verify: bool = True) -> LindahlCertificate | None:
+def lindahl_from_nash(P: CollectiveProblem, c, tol: float = EPS_LP) -> LindahlCertificate | None:
     """Equilibrium from the Nash allocation of the shifted problem.
 
     Prices are the shifted utilities normalized by their own expected
     value, so each agent's budget binds exactly.  Returns None when the
-    shift is inadmissible; otherwise the certificate re-verifies.
+    shift is inadmissible at `tol`; otherwise the certificate is
+    re-verified at `tol` before it is returned.
     """
     c = np.asarray(c, dtype=float)
     shifted = shifted_utilities(P, c)
     q = nash_allocation(shifted)
-    if not admissible(P, c, q):
+    if not admissible(P, c, q, tol):
         return None
     cert = _certificate(P, shifted, c, q)
-    if verify:
-        verdict = verify_lindahl(P, cert.p, cert.q)
-        if not verdict.passed:  # pragma: no cover - the construction is exact
-            raise lp.LpError(f"constructed equilibrium failed verification: {verdict.violations}")
+    verdict = verify_lindahl(P, cert.p, cert.q, tol)
+    if not verdict.passed:  # pragma: no cover - the construction is exact
+        raise lp.LpError(f"constructed equilibrium failed verification: {verdict.violations}")
     return cert
 
 

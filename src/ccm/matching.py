@@ -5,12 +5,13 @@ utilities.  It maps to a collective choice problem (one outcome per
 matching) and, in the other direction, its competitive partner market
 prices pairs (i, m) directly.  The two equilibrium notions convert into
 each other with payoffs preserved exactly; both conversions re-verify
-their output.
+their output.  Every conversion between the two forms is a gather or a
+scatter through one stored index: agent i's partner in matching j.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -27,11 +28,16 @@ class MatchingProblem:
     rational, and w[i, m] is zero for infeasible partners.  Agents whose
     feasible partners all yield zero are allowed here but rejected by
     `to_collective` (they have no stake in the collective problem).
+
+    `partner[i, j]` is agent i's partner in matching j, and
+    `feasible[i, m]` says whether some matching pairs i with m.
     """
 
     matchings: tuple[tuple[int, ...], ...]
     w: np.ndarray
     groups: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    partner: np.ndarray = field(init=False, repr=False, compare=False)
+    feasible: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -41,38 +47,29 @@ class MatchingProblem:
         matchings = tuple(tuple(int(m) for m in j) for j in self.matchings)
         if not matchings:
             raise ValueError("at least one feasible matching is required")
-        for j in matchings:
-            if len(j) != n or sorted(j) != list(range(n)) or any(j[j[i]] != i for i in range(n)):
-                raise ValueError(f"not an involution on {n} agents: {j}")
-        feasible = self.feasible_partners_static(matchings, n)
-        for i in range(n):
-            if not feasible[i]:
-                raise ValueError(f"agent {i} has no feasible partner")
-            for j in matchings:
-                if w[i, j[i]] < 0:
-                    raise ValueError("matchings must be individually rational (w >= 0)")
-        w = w.copy()
-        for i in range(n):
-            for m in range(n):
-                if m not in feasible[i]:
-                    w[i, m] = 0.0
+        # A matching of the wrong length becomes a column of -1s, which fails the checks below.
+        partner = np.array([j if len(j) == n else (-1,) * n for j in matchings], dtype=int).T
+        rows = np.arange(n)[:, None]
+        perm = (np.sort(partner, axis=0) == rows).all(axis=0)
+        back = np.take_along_axis(partner, np.where(perm, partner, rows), axis=0)
+        bad = ~(perm & (back == rows).all(axis=0))
+        if bad.any():
+            raise ValueError(f"not an involution on {n} agents: {matchings[int(bad.argmax())]}")
+        if (w[rows, partner] < 0).any():
+            raise ValueError("matchings must be individually rational (w >= 0)")
+        feasible = np.zeros((n, n), dtype=bool)
+        feasible[rows, partner] = True
+        w = np.where(feasible, w, 0.0)
         w[np.arange(n), np.arange(n)] = 0.0
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+        for name, value in (("w", w), ("partner", partner), ("feasible", feasible)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "matchings", matchings)
         if self.groups is not None:
             g1, g2 = (tuple(g) for g in self.groups)
             if sorted(g1 + g2) != list(range(n)):
                 raise ValueError("groups must partition the agents")
             object.__setattr__(self, "groups", (g1, g2))
-
-    @staticmethod
-    def feasible_partners_static(matchings, n):
-        feasible = [set() for _ in range(n)]
-        for j in matchings:
-            for i in range(n):
-                feasible[i].add(j[i])
-        return feasible
 
     @property
     def n(self) -> int:
@@ -82,8 +79,10 @@ class MatchingProblem:
     def k(self) -> int:
         return len(self.matchings)
 
-    def feasible_partners(self):
-        return self.feasible_partners_static(self.matchings, self.n)
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index of cell (i, partner[i, j]) of an (n, n) array, shaped (n, k)."""
+        return np.arange(self.n)[:, None], self.partner
 
 
 def all_involutions(n: int) -> list[tuple[int, ...]]:
@@ -115,7 +114,7 @@ def two_sided_matchings(group1, group2) -> list[tuple[int, ...]]:
     out = []
     for size in range(min(len(g1), len(g2)) + 1):
         for left in combinations(g1, size):
-            for right_perm in _permutations_of_subsets(g2, size):
+            for right_perm in permutations(g2, size):
                 j = list(range(n))
                 for a, b in zip(left, right_perm):
                     j[a], j[b] = b, a
@@ -123,20 +122,9 @@ def two_sided_matchings(group1, group2) -> list[tuple[int, ...]]:
     return sorted(set(out))
 
 
-def _permutations_of_subsets(pool, size):
-    from itertools import permutations
-
-    for subset in combinations(pool, size):
-        yield from permutations(subset)
-
-
 def to_collective(M: MatchingProblem) -> CollectiveProblem:
     """One outcome per feasible matching; u[i, j] = w[i, partner of i in j]."""
-    u = np.empty((M.n, M.k))
-    for col, j in enumerate(M.matchings):
-        for i in range(M.n):
-            u[i, col] = M.w[i, j[i]]
-    return CollectiveProblem(u)
+    return CollectiveProblem(M.w[M.pairs])
 
 
 def prices_to_partner(p, M: MatchingProblem) -> np.ndarray:
@@ -144,13 +132,9 @@ def prices_to_partner(p, M: MatchingProblem) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (M.n, M.k):
         raise ValueError("price profile has the wrong shape")
-    pi = np.zeros((M.n, M.n))
-    for i in range(M.n):
-        for m in M.feasible_partners()[i]:
-            if m == i:
-                continue
-            deliver = [col for col, j in enumerate(M.matchings) if j[i] == m]
-            pi[i, m] = min(p[i, col] for col in deliver)
+    pi = np.full((M.n, M.n), np.inf)
+    np.minimum.at(pi, M.pairs, p)
+    pi[~M.feasible | np.eye(M.n, dtype=bool)] = 0.0
     return pi
 
 
@@ -160,9 +144,8 @@ def allocation_to_demand(q, M: MatchingProblem) -> np.ndarray:
     if q.shape != (M.k,):
         raise ValueError("lottery has the wrong length")
     xi = np.zeros((M.n, M.n))
-    for col, j in enumerate(M.matchings):
-        for i in range(M.n):
-            xi[i, j[i]] += q[col]
+    # np.add.at adds into each cell in matching order, so the sums are reproducible.
+    np.add.at(xi, M.pairs, np.broadcast_to(q, M.partner.shape))
     return xi
 
 
@@ -184,19 +167,15 @@ def verify_walras_matching(M: MatchingProblem, pi, xi, q, tol: float = EPS_LP) -
     if pi.min() < -tol or np.abs(np.diag(pi)).max() > tol:
         raise ValueError("partner prices must be nonnegative with free self-matching")
     scale = 1.0 + max(M.w.max(), 1.0)
-    feasible = np.zeros((n, n), dtype=bool)
-    for i, partners in enumerate(M.feasible_partners()):
-        feasible[i, list(partners)] = True
-
     xi = np.where(xi > EPS_SUPP, xi, 0.0)
-    stray = np.where(feasible, 0.0, xi).max(axis=1)
+    stray = np.where(M.feasible, 0.0, xi).max(axis=1)
     violations = [
         Violation("demand_support", i, float(stray[i])) for i in range(n) if stray[i] > tol
     ]
     # Prices down to -tol pass the check above; the consumer kernel needs them nonnegative.
     violations += consumer_violations(M.w, np.maximum(pi, 0.0), xi, tol, scale)
 
-    rev = np.array([sum(pi[i, j[i]] for i in range(n)) for j in M.matchings])
+    rev = pi[M.pairs].sum(axis=0)
     mass = abs(float(q.sum()) - 1.0)
     if mass > tol:
         violations.append(Violation("lottery_mass", None, mass))
@@ -222,16 +201,13 @@ def price_coherence_lint(M: MatchingProblem, p, q) -> list[str]:
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    cheapest = prices_to_partner(p, M)
-    lints = []
-    for col, j in enumerate(M.matchings):
-        if q[col] <= EPS_SUPP:
-            continue
-        for i in range(M.n):
-            m = j[i]
-            if m != i and p[i, col] > cheapest[i, m] + 1e-9:
-                lints.append(f"matching {col} overprices pair ({i}, {m})")
-    return lints
+    cheapest = prices_to_partner(p, M)[M.pairs]
+    paired = M.partner != np.arange(M.n)[:, None]
+    over = (q > EPS_SUPP) & paired & (p > cheapest + 1e-9)
+    return [
+        f"matching {col} overprices pair ({i}, {M.partner[i, col]})"
+        for col, i in zip(*np.nonzero(over.T))
+    ]
 
 
 def lindahl_to_walras(M: MatchingProblem, p, q, tol: float = EPS_LP):
@@ -263,11 +239,7 @@ def walras_to_lindahl(M: MatchingProblem, pi, xi, q, tol: float = EPS_LP):
     verdict = verify_walras_matching(M, pi, xi, q, tol)
     if not verdict.passed:
         raise ValueError(f"input is not a Walrasian equilibrium: {verdict.violations}")
-    pi = np.asarray(pi, dtype=float)
-    p = np.empty((M.n, M.k))
-    for col, j in enumerate(M.matchings):
-        for i in range(M.n):
-            p[i, col] = pi[i, j[i]]
+    p = np.asarray(pi, dtype=float)[M.pairs]
     P = to_collective(M)
     out = verify_lindahl(P, p, np.asarray(q, dtype=float), tol)
     if not out.passed:  # pragma: no cover

@@ -214,12 +214,8 @@ def as_simplex_game(B: Polytope, tol: float = EPS_GEOM) -> SimplexGame | None:
     loads = (shifted / s).sum(axis=1)
     if loads.max() > 1.0 + tol:
         return None
-    n = B.dim
-    for i in range(n):
-        apex = d + s[i] * np.eye(n)[i]
-        if not contains(B, apex, tol):
-            return None
-    return SimplexGame(s / n, d)
+    # Every apex d + s_i e^i is in B: the generator attaining bliss_i dominates it.
+    return SimplexGame(s / B.dim, d)
 
 
 def simplex_dominates(A: SimplexGame, B: Polytope, tol: float = EPS_GEOM) -> bool:

@@ -9,11 +9,15 @@ is the consumer problem's LP path (`consumer_problem`,
 tableau `lp.solve`.  It is the oracle for the closed-form
 `lp.consumer_envelope` that the verifiers use and for the supporting
 prices of `lp.shadow_prices`.
+
+The matching and exchange conversions have loop forms here that walk
+the matchings (or goods) one agent at a time; the library computes the
+same arrays as gathers and scatters over a stored index.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 from scipy.optimize import linprog
@@ -234,3 +238,65 @@ def random_normalized_polytope(rng, n=2, max_vertices=6):
         gens = np.vstack([pts, np.zeros(n)])
         if np.all(gens.max(axis=0) > 0):
             return gens
+
+
+def matching_gather(matchings, a):
+    """out[i, col] = a[i, partner of i in matching col].
+
+    Utilities of the collective form from partner weights, and outcome
+    prices from partner prices.
+    """
+    n = len(a)
+    out = np.empty((n, len(matchings)))
+    for col, j in enumerate(matchings):
+        for i in range(n):
+            out[i, col] = a[i][j[i]]
+    return out
+
+
+def matching_partner_prices(matchings, p):
+    """pi[i, m]: the cheapest price p[i, col] over matchings col pairing i with m."""
+    n = len(p)
+    pi = np.zeros((n, n))
+    for i in range(n):
+        for m in {j[i] for j in matchings} - {i}:
+            pi[i, m] = min(p[i][col] for col, j in enumerate(matchings) if j[i] == m)
+    return pi
+
+
+def matching_demand(matchings, q, n):
+    """xi[i, m]: probability that i is matched with m under the lottery q."""
+    xi = np.zeros((n, n))
+    for col, j in enumerate(matchings):
+        for i in range(n):
+            xi[i, j[i]] += q[col]
+    return xi
+
+
+def matching_price_lints(matchings, p, q, supp):
+    """(matching, agent) pairs whose price exceeds the cheapest delivery of that partner."""
+    cheapest = matching_partner_prices(matchings, p)
+    lints = []
+    for col, j in enumerate(matchings):
+        if q[col] <= supp:
+            continue
+        for i in range(len(p)):
+            m = j[i]
+            if m != i and p[i][col] > cheapest[i, m] + 1e-9:
+                lints.append(f"matching {col} overprices pair ({i}, {m})")
+    return lints
+
+
+def exchange_allocations(n, r):
+    """Every allocation of r goods to n agents, goods left unassigned allowed.
+
+    The owner of good 0 varies slowest; owner n means unassigned.
+    """
+    out = []
+    for assign in product(range(n + 1), repeat=r):
+        masks = [0] * n
+        for g, owner in enumerate(assign):
+            if owner < n:
+                masks[owner] |= 1 << g
+        out.append(tuple(masks))
+    return out

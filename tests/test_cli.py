@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from ccm import cli
+from ccm import cli, market
+from ccm.tolerances import EPS_LP
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -40,6 +41,24 @@ def test_solve_cakes_explicit_zero_shift(capsys):
     assert code == 0
     doc = json.loads(out)
     assert np.allclose(doc["payoffs"], [0.5, 1.0], atol=1e-6)
+
+
+@pytest.mark.parametrize("name", ["town.json", "office1.json", "pair.json"])
+def test_solve_tol_is_the_tolerance_checked(name, monkeypatch, capsys):
+    # The certificate records eps_lp; every equilibrium check behind it must use that value.
+    seen = []
+    verify = market.verify_lindahl
+
+    def spy(P, p, q, tol=EPS_LP):
+        seen.append(tol)
+        return verify(P, p, q, tol)
+
+    monkeypatch.setattr(market, "verify_lindahl", spy)
+    code, out, _ = run(capsys, "solve", path(name), "--tol", "1e-6")
+    assert code == 0
+    eps = json.loads(out)["tolerances"]["eps_lp"]
+    assert eps == 1e-6
+    assert seen and all(t == eps for t in seen)
 
 
 def test_verify_round_trip(tmp_path, capsys):
