@@ -8,12 +8,12 @@ file so verify cannot be pointed at the wrong instance.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import __version__ as VERSION
@@ -26,9 +26,25 @@ EXIT_INADMISSIBLE = 2
 EXIT_NON_MEMBER = 3
 
 
-def _schema(name: str) -> dict:
+@functools.lru_cache(maxsize=None)
+def _validator(name: str):
+    """The validator of one shipped schema, checked against its meta-schema once."""
+    import jsonschema
+
     with resources.files("ccm.schemas").joinpath(name).open("rb") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def schema_validate(doc, name: str) -> None:
+    """Raise what `jsonschema.validate(doc, schema)` raises, without re-checking the schema."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator(name).iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def _fail(message: str, code: int = EXIT_ERROR) -> int:
@@ -51,7 +67,7 @@ def _load_problem(path: str) -> tuple[dict, str]:
     with open(path, "rb") as fh:
         raw = fh.read()
     doc = json.loads(raw)
-    jsonschema.validate(doc, _schema("problem.schema.json"))
+    schema_validate(doc, "problem.schema.json")
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -166,7 +182,7 @@ def cmd_verify(args) -> int:
     doc, digest = _load_problem(args.problem)
     with open(args.certificate) as fh:
         cert = json.load(fh)
-    jsonschema.validate(cert, _schema("certificate.schema.json"))
+    schema_validate(cert, "certificate.schema.json")
     if cert["problem_sha256"] != digest:
         return _fail("certificate does not match this problem (stale hash)")
     tol = args.tol or cert.get("tolerances", {}).get("eps_lp", EPS_LP)
@@ -393,7 +409,10 @@ def cmd_match(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """Built once: a parser is a graph of reference cycles that only the
+    cyclic garbage collector frees, so one per call piles up between its runs."""
     parser = argparse.ArgumentParser(prog="ccm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -406,36 +425,36 @@ def main(argv=None) -> int:
     p_solve.add_argument("--tol", type=float, default=None)
     p_solve.add_argument("--c", default=None, help="utility shift vector, comma separated")
     p_solve.add_argument("--sweep", type=int, default=None, help="sweep grid steps per axis")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="re-check a certificate")
     common(p_verify)
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("certificate")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_eq = sub.add_parser("equitable", help="equitable-set membership")
     common(p_eq)
     p_eq.add_argument("--point", required=True, help="payoff vector, comma separated")
-    p_eq.set_defaults(func=cmd_equitable)
 
-    p_nash = sub.add_parser("nash", help="Nash allocation / bargaining point")
-    common(p_nash)
-    p_nash.set_defaults(func=cmd_nash)
+    common(sub.add_parser("nash", help="Nash allocation / bargaining point"))
 
     p_com = sub.add_parser("commodify", help="realize a bargaining set as an economy")
     common(p_com)
     p_com.add_argument("--mode", choices=["two", "general"], default="two")
-    p_com.set_defaults(func=cmd_commodify)
 
     p_match = sub.add_parser("match", help="matching pipeline with both verifications")
     common(p_match)
     p_match.add_argument("--c", default=None)
-    p_match.set_defaults(func=cmd_match)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    import jsonschema  # several MB, loaded only once a command runs
+
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up per call, so a rebound cmd_* function takes effect.
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
         return _fail(str(exc))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lp
 from .market import CollectiveProblem, Verdict, Violation, consumer_violations, verify_lindahl
-from .polytope import Polytope, coco_hull, contains, is_pareto_efficient
+from .polytope import Polytope, _slacks, coco_hull, contains, is_pareto_efficient
 from .solutions import _frontier_chain, equitable_set_2d
 from .tolerances import EPS_GEOM, EPS_LP, EPS_SUPP
 
@@ -364,8 +364,9 @@ def commodify_two(B: Polytope) -> Economy:
 
 
 def _assert_same_coco(Bv: Polytope, B: Polytope, tol: float = 1e-7):
-    ok = all(contains(B, g, tol) for g in Bv.generators) and all(
-        contains(Bv, g, tol) for g in B.generators
+    ok = all(
+        np.all(Y >= P.disagreement - tol) and _slacks(P, Y).min() >= -tol
+        for P, Y in ((B, Bv.generators), (Bv, B.generators))
     )
     if not ok:
         raise lp.LpError("commodified economy does not reproduce the bargaining set")

@@ -9,7 +9,9 @@ extraction matter more than speed.  Rows and the objective are scaled by
 powers of two before solving, which conditions pivots without introducing
 any rounding of its own.
 
-The solver serves the general LPs of `polytope` and `solutions`.  The
+The solver serves the equitability witness LP of `solutions` (three or
+more agents) and the polytope queries on sets too large for a facet pass
+(`polytope.FACET_SUBSET_LIMIT`); smaller sets answer from their facets.  The
 consumer problem, max u.q  s.t.  p.q <= 1,  e.q <= 1,  q >= 0, needs no
 LP: every consumer-side quantity comes from one upper concave envelope
 of the (price, utility) points and the origin.  `consumer_envelope`

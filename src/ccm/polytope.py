@@ -3,13 +3,20 @@
 A bargaining set is stored by its generator vertices only; the set it
 denotes is the smallest convex and comprehensive superset of them (all
 points between the componentwise minimum of the generators and the convex
-hull).  Membership, efficiency, and the set-domination order are decided
-by small LPs over the generator weights; affine images of the unit
-simplex ("simplex games") get closed forms.
+hull).  Each set computes the facets of conv(G) - R^n_+ once, on first
+use, and caches them (`Polytope.facets`): rows a >= 0 summing to one and
+b = max_g a.g.  Membership, efficiency and the set-domination order are
+then closed-form reads of (a, b).  Sets whose facet pass would cost more
+than `FACET_SUBSET_LIMIT` candidate normals have no facets and are
+decided by small LPs over the generator weights instead.  Affine images
+of the unit simplex ("simplex games") get closed forms of their own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -18,6 +25,10 @@ from .tolerances import DEDUP_SIG_DIGITS, EPS_GEOM
 
 # Points are plain float vectors.
 Point = np.ndarray
+
+# Largest C(|V| + n, n) for which a set enumerates its facets, where V are
+# its Pareto-maximal generators; above it the predicates solve LPs.
+FACET_SUBSET_LIMIT = 5000
 
 
 class DegenerateSetError(ValueError):
@@ -77,6 +88,93 @@ class Polytope:
     def full_dimensional(self) -> bool:
         return bool(np.all(self.bliss - self.disagreement > EPS_GEOM))
 
+    @cached_property
+    def facets(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(A, b): conv(generators) - R^n_+ = {y : A y <= b}, or None above the limit.
+
+        Rows of A are nonnegative and sum to one, and b_k = max_g A_k.g.
+        """
+        return _facets(self.generators)
+
+
+def _maximal_rows(G: np.ndarray) -> np.ndarray:
+    """The distinct rows of G that no other row weakly dominates.
+
+    In lexicographically decreasing order the first remaining row is
+    maximal; it and every row below it leave.  O(m |V|) for |V| results.
+    """
+    rest = G[np.lexsort(G.T)[::-1]]
+    top = []
+    while len(rest):
+        top.append(rest[0])
+        rest = rest[(rest > rest[0]).any(axis=1)]
+    return np.array(top)
+
+
+def _pareto_mask(G: np.ndarray, below: float, above: float) -> np.ndarray:
+    """Rows g of G with no row h >= g - below that exceeds g + above somewhere.
+
+    A row h that dominates g in this sense lies weakly below some maximal
+    row v, and then v dominates g too, so testing the maximal rows suffices.
+    """
+    dominated = np.zeros(len(G), dtype=bool)
+    lo, hi = G - below, G + above
+    for v in _maximal_rows(G):
+        dominated |= (v >= lo).all(axis=1) & (v > hi).any(axis=1)
+    return ~dominated
+
+
+@lru_cache(maxsize=64)
+def _subsets(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-subsets of k generators and n directions that hold a generator.
+
+    Also returns, for each j < n, the n - 1 columns of the j-th cofactor.
+    """
+    s = np.array(list(combinations(range(k + n), n)), dtype=np.intp).reshape(-1, n)
+    # Generators come first, so a subset holds one iff its first index does.
+    s = s[s[:, 0] < k]
+    minor_cols = np.array([[c for c in range(n) if c != j] for j in range(n)], dtype=np.intp)
+    s.setflags(write=False)
+    return s, minor_cols.reshape(n, n - 1)
+
+
+def _facets(G: np.ndarray):
+    """Facet rows of conv(G) - R^n_+ from the n-subsets of its vertices and the -e_i.
+
+    Each subset holds a generator g0 and n - 1 of: other generators (as
+    differences from g0) and unit directions; the cofactors of those n - 1
+    rows give the normal they span.  A normal is kept when it is
+    nonnegative and its hyperplane supports the set at every generator of
+    its subset.
+    """
+    V = _maximal_rows(G)
+    k, n = V.shape
+    if comb(k + n, n) > FACET_SUBSET_LIMIT:
+        return None
+    subsets, minor_cols = _subsets(k, n)
+    rest = subsets[:, 1:]
+    W = np.vstack([V, np.eye(n)])
+    M = W[rest] - np.where((rest < k)[..., None], V[subsets[:, 0]][:, None, :], 0.0)
+    r = np.linalg.det(M[:, :, minor_cols].transpose(0, 2, 1, 3))
+    r[:, 1::2] *= -1.0
+    total = r.sum(axis=1)
+    A = r / np.where(total == 0.0, 1.0, total)[:, None]
+    ok = (np.abs(total) > 1e-12 * np.abs(r).sum(axis=1)) & (A.min(axis=1) >= -1e-12)
+    A, subsets = np.maximum(A[ok], 0.0), subsets[ok]
+    A /= A.sum(axis=1, keepdims=True)
+    values = A @ V.T
+    b = values.max(axis=1)
+    at = values[np.arange(len(values))[:, None], np.minimum(subsets, k - 1)]
+    supports = ((at >= b[:, None] - 1e-10 * (1.0 + np.abs(V).max())) | (subsets >= k)).all(axis=1)
+    A, b = A[supports], b[supports]
+    key = np.round(A, 12)
+    order = np.lexsort(key.T)
+    first = np.concatenate([[True], (key[order[1:]] != key[order[:-1]]).any(axis=1)])
+    A, b = A[order[first]], b[order[first]]
+    A.setflags(write=False)
+    b.setflags(write=False)
+    return A, b
+
 
 def coco_hull(points) -> Polytope:
     """Comprehensive convex hull of the given points.
@@ -99,9 +197,23 @@ def domination_slack(B: Polytope, x) -> float:
     """max t such that some convex combination of generators covers x + t.
 
     Nonnegative iff x is below the convex hull of the generators; the
-    magnitude is a margin usable against tolerances.
+    magnitude is a margin usable against tolerances.  With facets (A, b)
+    this is min_k (b_k - A_k.x), since every row of A sums to one.
     """
     x = as_point(x, B.dim)
+    return float(_slacks(B, x[None, :])[0])
+
+
+def _slacks(B: Polytope, Y: np.ndarray) -> np.ndarray:
+    """domination_slack of every row of Y."""
+    F = B.facets
+    if F is None:
+        return np.array([_domination_slack_lp(B, y) for y in Y])
+    A, b = F
+    return (b - Y @ A.T).min(axis=1)
+
+
+def _domination_slack_lp(B: Polytope, x: np.ndarray) -> float:
     G = B.generators
     m, n = G.shape
     # Variables (lambda, t+, t-): maximize t+ - t-.
@@ -129,15 +241,30 @@ def contains(B: Polytope, x, tol: float = EPS_GEOM) -> bool:
     return domination_slack(B, x) >= -tol
 
 
+def _tight_normals(F, x: np.ndarray, tol: float) -> np.ndarray:
+    """The facet normals whose slack at x is at most tol (1 + |x|_inf)."""
+    A, b = F
+    return A[b - A @ x <= tol * (1.0 + np.abs(x).max())]
+
+
 def is_pareto_efficient(B: Polytope, x, tol: float = EPS_GEOM) -> bool:
     """True iff no point of B weakly dominates x with strict improvement.
 
-    Decided by one LP: the maximal coordinate sum over {y in B, y >= x}
-    must not exceed the coordinate sum of x.
+    The normal cone at x is generated by the facet normals tight at x, and
+    x is efficient iff that cone holds a strictly positive vector, that is
+    iff the tight normals sum to a strictly positive vector.
     """
     x = as_point(x, B.dim)
     if not contains(B, x, tol):
         raise ValueError("x must be a member of B")
+    F = B.facets
+    if F is None:
+        return _is_pareto_efficient_lp(B, x, tol)
+    return bool(np.all(_tight_normals(F, x, tol).sum(axis=0) > 0))
+
+
+def _is_pareto_efficient_lp(B: Polytope, x: np.ndarray, tol: float) -> bool:
+    """The maximal coordinate sum over {y in B, y >= x} must not exceed x's."""
     G = B.generators
     m, n = G.shape
     A = np.zeros((n + 2, m))
@@ -163,7 +290,7 @@ def dominates(A: Polytope, B: Polytope, tol: float = EPS_GEOM) -> bool:
         raise ValueError("dimension mismatch")
     if np.any(A.disagreement < B.disagreement - tol):
         return False
-    return all(domination_slack(A, y) >= -tol for y in B.generators)
+    return bool(_slacks(A, B.generators).min() >= -tol)
 
 
 @dataclass(frozen=True)

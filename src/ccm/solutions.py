@@ -6,7 +6,10 @@ decided exactly: writing the candidate witness as A = n*(x-c) (x) Delta + c
 and substituting t_i = 1/(x_i - c_i) turns witness existence into a
 piecewise-linear feasibility problem, solved here by one LP.  For two
 agents the frontier characterization (Pareto efficiency plus midpoint
-domination) is used instead and doubles as an independent cross-check.
+domination) is used instead and doubles as an independent cross-check;
+its witness reads the supporting normal off B's cached facets, so the
+n >= 3 witness LP is the only LP on the equitability path (apart from
+sets too large for a facet pass, see `polytope.FACET_SUBSET_LIMIT`).
 Every verdict is exact: a member with a re-validated certificate, or a
 certified non-member.
 
@@ -26,6 +29,8 @@ from .polytope import (
     DegenerateSetError,
     Polytope,
     SimplexGame,
+    _pareto_mask,
+    _tight_normals,
     as_point,
     contains,
     dominates,
@@ -95,7 +100,23 @@ def supporting_simplex(B: Polytope, tol: float = EPS_GEOM) -> SimplexGame:
 
 
 def _supporting_normal(B: Polytope, x: np.ndarray) -> np.ndarray:
-    """A strictly positive normal a with a.x >= a.y - tol for all y in B."""
+    """A strictly positive normal a with a.x >= a.y - tol for all y in B (n = 2).
+
+    The normals of B at x, scaled to sum one, are the segment between its
+    tight facet normals; the point of it nearest (1/2, 1/2) maximizes min_i a_i.
+    """
+    F = B.facets
+    if F is None:
+        return _supporting_normal_lp(B, x)
+    tight = _tight_normals(F, x, EPS_GEOM)[:, 0]
+    a1 = float(np.clip(0.5, tight.min(), tight.max())) if len(tight) else 0.0
+    a = np.array([a1, 1.0 - a1])
+    if a.min() <= EPS_GEOM:
+        raise lp.LpError("no strictly positive supporting normal; point is not efficient")
+    return a
+
+
+def _supporting_normal_lp(B: Polytope, x: np.ndarray) -> np.ndarray:
     G = B.generators
     m, n = G.shape
     slack = EPS_GEOM * (1.0 + np.abs(G).max())
@@ -266,15 +287,7 @@ def equitable_set_2d(B: Polytope, tol: float = EPS_GEOM):
 
 def _frontier_chain(B: Polytope, tol: float):
     G = B.generators
-    keep = []
-    for i, g in enumerate(G):
-        dominated = False
-        for j, h in enumerate(G):
-            if j != i and np.all(h >= g - 1e-15) and np.any(h > g + 1e-12):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(g)
+    keep = G[_pareto_mask(G, 1e-15, 1e-12)]
     pts = sorted(keep, key=lambda p: (p[0], -p[1]))
     dedup = []
     for p in pts:
