@@ -168,6 +168,13 @@ def _newton_group(Cg, lamS, iters):
     return np.take_along_axis(lamS, rep, axis=0) * share
 
 
+def _support_groups(supp):
+    """Cells (columns of supp) grouped by pattern, patterns in lexicographic order."""
+    order = np.lexsort(supp[::-1])
+    ranked = supp[:, order]
+    return np.split(order, np.flatnonzero((ranked[:, 1:] != ranked[:, :-1]).any(axis=0)) + 1)
+
+
 def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
     """Batched solve.  C has shape (cells, n, m), nonnegative, nonzero rows.
 
@@ -197,11 +204,9 @@ def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
     resid = np.empty(b)
     for _ in range(_SUPPORT_ROUNDS):
         supp = (lam[:, todo] > _SUPP_EPS) | (phi > n * (1.0 + 1e-12))
-        patterns, group = np.unique(supp.T, axis=0, return_inverse=True)
-        group = group.ravel()
-        for g, pattern in enumerate(patterns):
-            S = np.nonzero(pattern)[0]
-            members = todo[group == g]
+        for group in _support_groups(supp):
+            S = np.nonzero(supp[:, group[0]])[0]
+            members = todo[group]
             # Slices bound the memory of the stacked Newton systems.
             for cells in np.array_split(members, -(-members.size // _NEWTON_SLICE)):
                 lamS = lam[np.ix_(S, cells)]

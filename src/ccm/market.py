@@ -5,12 +5,13 @@ the social outcomes; the firm supplies a revenue-maximal lottery.  This
 module verifies Lindahl equilibria, constructs them from Nash allocations
 of utility-shifted problems, sweeps the shift space to enumerate the
 payoff set, and bridges to the bargaining-set view (the feasible-payoff
-polytope and equitability witnesses).
+polytope and equitability witnesses).  A sweep re-verifies all its
+certificates in one batched equilibrium check, with no thread pool.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+# Unused; perfbench's tracer patches the name, so it goes when the tracer stops.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,22 +153,23 @@ def lindahl_from_nash(P: CollectiveProblem, c, tol: float = EPS_LP) -> LindahlCe
     shift is inadmissible at `tol`; otherwise the certificate is
     re-verified at `tol` before it is returned.
     """
-    c = np.asarray(c, dtype=float)
-    shifted = shifted_utilities(P, c)
-    q = nash_allocation(shifted)
+    c = np.array(c, dtype=float)
+    q = nash_allocation(shifted_utilities(P, c))
     if not admissible(P, c, q, tol):
         return None
-    cert = _certificate(P, shifted, c, q)
+    (cert,), _ = _certificates(P, c[None], q[None])
     verdict = verify_lindahl(P, cert.p, cert.q, tol)
     if not verdict.passed:  # pragma: no cover - the construction is exact
         raise lp.LpError(f"constructed equilibrium failed verification: {verdict.violations}")
     return cert
 
 
-def _certificate(P, shifted, c, q) -> LindahlCertificate:
-    alpha = shifted.u @ q
-    p = shifted.u / alpha[:, None]
-    return LindahlCertificate(p=p, q=q, payoffs=alpha + c, alpha=alpha, c=c.copy())
+def _certificates(P, C, Q) -> tuple[list[LindahlCertificate], np.ndarray]:
+    """Certificates at shifts C (K, n) with lotteries Q (K, k), and their prices (K, n, k)."""
+    S = np.maximum(P.u[None] - C[:, :, None], 0.0)
+    alpha = np.matmul(S, Q[..., None])[..., 0]
+    p = S / alpha[..., None]
+    return [LindahlCertificate(*row) for row in zip(p, Q, alpha + C, alpha, C)], p
 
 
 def consumer_violations(U, P, X, tol: float, scale: float) -> list[Violation]:
@@ -210,17 +212,27 @@ def verify_lindahl(P: CollectiveProblem, p, q, tol: float = EPS_LP) -> Verdict:
     if p.min() < 0:
         raise ValueError("prices must be nonnegative")
     q = validate_lottery(q, P.k)
-    scale = 1.0 + max(P.u.max(), 1.0)
-    violations = consumer_violations(P.u, p, [q] * P.n, tol, scale)
-
-    mass = abs(float(q.sum()) - 1.0)
-    if mass > tol:
-        violations.append(Violation("lottery_mass", None, mass))
-    revenue = p.sum(axis=0)
-    rev_gap = float(revenue.max() - revenue @ q)
-    if rev_gap > tol * scale * P.n:
-        violations.append(Violation("firm_revenue", None, rev_gap))
+    violations = _lindahl_violations(P, p[None], q[None], tol)[0]
     return Verdict(not violations, violations)
+
+
+def _lindahl_violations(P: CollectiveProblem, p, q, tol: float) -> list[list[Violation]]:
+    """`verify_lindahl`'s violations for K certificates: p is (K, n, k), q is (K, k)."""
+    K, n, k = p.shape
+    scale = 1.0 + max(P.u.max(), 1.0)
+    U, X = np.tile(P.u, (K, 1)), np.repeat(q, n, axis=0)
+    out: list[list[Violation]] = [[] for _ in range(K)]
+    for v in consumer_violations(U, p.reshape(K * n, k), X, tol, scale):
+        out[v.agent // n].append(Violation(v.condition, v.agent % n, v.residual))
+
+    mass = np.abs(q.sum(axis=1) - 1.0)
+    revenue = p.sum(axis=1)
+    rev_gap = revenue.max(axis=1) - np.matmul(revenue[:, None, :], q[:, :, None])[:, 0, 0]
+    for r in np.nonzero(mass > tol)[0]:
+        out[r].append(Violation("lottery_mass", None, float(mass[r])))
+    for r in np.nonzero(rev_gap > tol * scale * n)[0]:
+        out[r].append(Violation("firm_revenue", None, float(rev_gap[r])))
+    return out
 
 
 def _shift_grid(P: CollectiveProblem, steps: int) -> np.ndarray:
@@ -228,16 +240,6 @@ def _shift_grid(P: CollectiveProblem, steps: int) -> np.ndarray:
     axes = [np.arange(steps) * (P.u[i].max() / steps) for i in range(P.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("CCM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _first_hits(payoffs: np.ndarray, tol: float) -> list[int]:
@@ -262,8 +264,8 @@ def sweep_lindahl_payoffs(
 
     All grid cells are solved as one batched Nash computation; admissible
     cells become certificates, payoffs are deduplicated (first hit in
-    lexicographic shift order wins), and every surviving certificate is
-    fully re-verified before being returned.
+    lexicographic shift order wins), and the surviving certificates are
+    re-verified in one batched check before being returned.
     """
     if P.n > 4:
         raise ValueError("sweep cost grows as steps**n; n <= 4 only")
@@ -273,31 +275,19 @@ def sweep_lindahl_payoffs(
     shifted = np.maximum(Ured[None, :, :] - grid[:, :, None], 0.0)
     lam, _, _ = maximize_log_sum_batch(shifted, tol=1e-11)
 
-    support = lam > EPS_SUPP
-    ok = np.ones(len(grid), dtype=bool)
-    for i in range(P.n):
-        bad = support & (Ured[i][None, :] < grid[:, i, None] - tol)
-        ok &= ~bad.any(axis=1)
-
-    live = np.nonzero(ok)[0]
+    below = Ured[None, :, :] < grid[:, :, None] - tol
+    live = np.nonzero(~((lam > EPS_SUPP) & below.any(axis=1)).any(axis=1))[0]
     payoffs = (np.matmul(shifted, lam[:, :, None])[:, :, 0] + grid)[live]
-    kept = [(grid[live[r]], lam[live[r]]) for r in _first_hits(payoffs, PAYOFF_DEDUP)]
+    kept = live[_first_hits(payoffs, PAYOFF_DEDUP)]
 
-    def build(entry):
-        c, lam_red = entry
-        q = np.zeros(P.k)
-        q[reps] = lam_red
-        cert = _certificate(P, shifted_utilities(P, c), c, q)
-        verdict = verify_lindahl(P, cert.p, cert.q, tol)
-        if not verdict.passed:  # pragma: no cover
-            raise lp.LpError(f"sweep certificate failed verification: {verdict.violations}")
-        return cert
-
-    workers = _worker_count()
-    if workers > 1 and len(kept) > 4:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(build, kept))
-    return [build(entry) for entry in kept]
+    Q = np.zeros((kept.size, P.k))
+    Q[:, reps] = lam[kept]
+    certs, p = _certificates(P, grid[kept], Q)
+    for cert, found in zip(certs, _lindahl_violations(P, p, Q, tol)):
+        if found:
+            c = cert.c.tolist()
+            raise lp.LpError(f"sweep certificate at shift c = {c} failed verification: {found}")
+    return certs
 
 
 def equitable_witness_from_lindahl(P: CollectiveProblem, p, q, tol: float = EPS_LP):

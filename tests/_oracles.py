@@ -10,6 +10,11 @@ tableau `lp.solve`.  It is the oracle for the closed-form
 `lp.consumer_envelope` that the verifiers use and for the supporting
 prices of `lp.shadow_prices`.
 
+Lindahl certificates have a per-shift assembly here
+(`shift_certificate`): the shifted problem is built and validated, and
+its prices formed, one shift at a time.  The library builds them as
+arrays, all of a sweep's certificates at once.
+
 The matching and exchange conversions have loop forms here that walk
 the matchings (or goods) one agent at a time; the library computes the
 same arrays as gathers and scatters over a stored index.
@@ -23,6 +28,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ccm import lp
+from ccm import market
 
 
 def lp_vertex_enum(c, A, b):
@@ -300,3 +306,12 @@ def exchange_allocations(n, r):
                 masks[owner] |= 1 << g
         out.append(tuple(masks))
     return out
+
+
+def shift_certificate(P, c, q):
+    """The certificate of lottery q at shift c, assembled from the shifted problem."""
+    c = np.asarray(c, dtype=float)
+    shifted = market.shifted_utilities(P, c)
+    alpha = shifted.u @ q
+    p = shifted.u / alpha[:, None]
+    return market.LindahlCertificate(p=p, q=q, payoffs=alpha + c, alpha=alpha, c=c.copy())

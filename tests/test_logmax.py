@@ -95,3 +95,23 @@ def test_residual_within_tolerance_on_random_batches(warm_iters):
         x = np.einsum("bnm,bm->bn", C, lam)
         assert np.allclose(value, np.log(x).sum(axis=1), rtol=0, atol=1e-12)
     assert seen_single and seen_duplicate
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
+def test_support_groups_equal_unique_columns(m):
+    rng = np.random.default_rng(m)
+    masks = [
+        rng.random((m, 4096)) < 0.3,
+        rng.random((m, 50)) < 0.5,
+        np.tile(rng.random((m, 1)) < 0.5, (1, 40)),  # every cell alike
+        np.ones((m, 1), dtype=bool),
+        np.unique(rng.random((m, 64)) < 0.5, axis=1),  # every cell distinct
+    ]
+    for supp in masks:
+        groups = _logmax._support_groups(supp)
+        patterns, inverse = np.unique(supp.T, axis=0, return_inverse=True)
+        assert len(groups) == len(patterns)
+        for g, (cells, pattern) in enumerate(zip(groups, patterns)):
+            # Each group lists its cells in ascending order, as a mask would.
+            assert np.array_equal(cells, np.flatnonzero(inverse.ravel() == g))
+            assert np.array_equal(supp[:, cells[0]], pattern)

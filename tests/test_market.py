@@ -6,10 +6,16 @@ from ccm import market as mk
 from ccm import polytope as pt
 from ccm import solutions as sol
 
-from _oracles import nash_allocation_grid_1d, random_collective
+from _oracles import nash_allocation_grid_1d, random_collective, shift_certificate
 
 TOWN = mk.CollectiveProblem([[1, 0], [0, 1]])
 CAKE_MARKET = mk.CollectiveProblem([[1, 0.5, 0], [0, 1, 1]])
+
+
+def _assert_same_bytes(a, b):
+    for name in ("p", "q", "payoffs", "alpha", "c"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 def test_problem_validation():
@@ -297,6 +303,7 @@ def test_sweep_of_a_four_agent_matching_problem():
     assert len(certs) == 2
     for cert in certs:
         assert mk.verify_lindahl(P, cert.p, cert.q).passed
+        _assert_same_bytes(cert, shift_certificate(P, cert.c, cert.q))
 
 
 def test_first_hit_dedup_matches_the_pairwise_loop():
@@ -312,11 +319,83 @@ def test_first_hit_dedup_matches_the_pairwise_loop():
     assert mk._first_hits(np.empty((0, 2)), 1e-6) == []
 
 
-def test_sweep_respects_thread_cap(monkeypatch):
-    monkeypatch.setenv("CCM_THREADS", "1")
+def test_sweep_is_byte_deterministic():
     certs = mk.sweep_lindahl_payoffs(CAKE_MARKET, 12)
-    monkeypatch.setenv("CCM_THREADS", "4")
     certs2 = mk.sweep_lindahl_payoffs(CAKE_MARKET, 12)
     assert len(certs) == len(certs2)
     for a, b in zip(certs, certs2):
-        assert np.array_equal(a.payoffs, b.payoffs)
+        _assert_same_bytes(a, b)
+
+
+def _summary(violations):
+    return not violations, {(v.condition, v.agent) for v in violations}
+
+
+@pytest.fixture(scope="module")
+def corpus_sweeps():
+    """Sweeps of the first 12 problems of the seed-2026 acceptance corpus."""
+    rng = np.random.default_rng(2026)
+    out = []
+    for t in range(12):
+        n = 2 if t % 2 == 0 else 3
+        P = mk.CollectiveProblem(random_collective(rng, n=n))
+        out.append((P, mk.sweep_lindahl_payoffs(P, 64 if n == 2 else 8)))
+    return out
+
+
+def test_certificates_equal_the_per_shift_assembly(corpus_sweeps):
+    for P, certs in corpus_sweeps:
+        for cert in certs + [mk.lindahl_from_nash(P, np.zeros(P.n))]:
+            _assert_same_bytes(cert, shift_certificate(P, cert.c, cert.q))
+
+
+def test_batched_check_is_verify_lindahl(corpus_sweeps):
+    failed = 0
+    for P, certs in corpus_sweeps:
+        p = [c.p for c in certs]
+        q = [c.q for c in certs]
+        for agent in range(P.n):
+            for c in certs:
+                doubled = c.p.copy()
+                doubled[agent] *= 2.0
+                p.append(doubled)
+                q.append(c.q)
+        batched = mk._lindahl_violations(P, np.array(p), np.array(q), mk.EPS_LP)
+        for p_r, q_r, violations in zip(p, q, batched):
+            verdict = mk.verify_lindahl(P, p_r, q_r)
+            assert _summary(violations) == (verdict.passed, _summary(verdict.violations)[1])
+            assert [v.residual for v in violations] == [v.residual for v in verdict.violations]
+            failed += not verdict.passed
+    assert failed > 0
+
+
+@pytest.mark.parametrize(
+    "move, expected",
+    [
+        # Prices built from the lottery's own shifted utilities leave every
+        # consumer optimal, so a lottery moved within the simplex fails on
+        # the firm side.
+        (lambda lam: 0.5 * lam + 0.5 * np.eye(lam.size)[0], [("firm_revenue", None)]),
+        # Half the mass: the agent with a positive shift could buy more.
+        (lambda lam: 0.5 * lam, [("consumer_optimality", 0), ("lottery_mass", None)]),
+    ],
+    ids=["within_simplex", "half_mass"],
+)
+def test_sweep_raises_on_a_certificate_off_its_optimum(monkeypatch, move, expected):
+    last = mk.sweep_lindahl_payoffs(CAKE_MARKET, 12)[-1]
+    assert last.c[0] > 0
+    cell = int(np.nonzero((mk._shift_grid(CAKE_MARKET, 12) == last.c).all(axis=1))[0][0])
+    solve = mk.maximize_log_sum_batch
+
+    def moved(C, **kwargs):
+        lam, value, resid = solve(C, **kwargs)
+        lam[cell] = move(lam[cell])
+        return lam, value, resid
+
+    monkeypatch.setattr(mk, "maximize_log_sum_batch", moved)
+    with pytest.raises(lp.LpError) as info:
+        mk.sweep_lindahl_payoffs(CAKE_MARKET, 12)
+    message = str(info.value)
+    assert f"shift c = {last.c.tolist()}" in message
+    for condition, agent in expected:
+        assert f"condition='{condition}', agent={agent}," in message

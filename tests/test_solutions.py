@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccm import market as mk
 from ccm import polytope as pt
 from ccm import solutions as sol
 
@@ -213,3 +214,17 @@ class TestAxiomSuite:
     def test_rejects_nonpositive_transform(self):
         with pytest.raises(ValueError):
             sol.axiom_suite(CAKE, sample_points=[], transforms=[([1.0, -1.0], [0.0, 0.0])])
+
+
+def test_three_by_four_lindahl_payoff_is_a_member():
+    # At this Nash payoff the witness LP once raised "primal feasibility
+    # lost after pivoting".
+    P = mk.CollectiveProblem(
+        [
+            [0, 0.9536591167658266, 0.4768295583829133, 2.86097735029748],
+            [0.07045017975754432, 0.42270107854526595, 0, 0.21135053927263298],
+            [0.3276646891450957, 0.21844312609673047, 0.43688625219346094, 0.05461078152418262],
+        ]
+    )
+    cert = mk.lindahl_from_nash(P, np.zeros(3))
+    assert sol.equitable_contains(mk.bargaining_of(P), cert.payoffs).status == sol.MEMBER
