@@ -22,8 +22,8 @@ import numpy as np
 
 from . import lp
 from .market import CollectiveProblem, Verdict, Violation, consumer_violations, verify_lindahl
-from .polytope import Polytope, _slacks, coco_hull, contains, is_pareto_efficient
-from .solutions import _frontier_chain, equitable_set_2d
+from .polytope import Polytope, _frontier_chain, _slacks, coco_hull, contains, is_pareto_efficient
+from .solutions import equitable_set_2d
 from .tolerances import EPS_GEOM, EPS_LP, EPS_SUPP
 
 _ALLOC_GUARD = 2_000_000
@@ -107,7 +107,8 @@ def economy_from_bundle_values(n: int, names, bundles) -> Economy:
 
     `bundles` lists (agent, goods, value) triples; a bundle is worth the
     best listed sub-bundle it contains.  The result is monotone by
-    construction.
+    construction.  An agent outside 0..n-1 or a good index outside
+    0..len(names)-1 raises ValueError.
     """
     names = tuple(names)
     r = len(names)
@@ -116,9 +117,14 @@ def economy_from_bundle_values(n: int, names, bundles) -> Economy:
     index = {g: i for i, g in enumerate(names)}
     tables = np.zeros((n, 1 << r))
     for agent, goods, value in bundles:
+        if not 0 <= agent < n:
+            raise ValueError(f"bundle agent {agent} is out of range for {n} agents")
         mask = 0
         for g in goods:
-            mask |= 1 << (index[g] if g in index else int(g))
+            j = index[g] if g in index else int(g)
+            if not 0 <= j < r:
+                raise ValueError(f"bundle good {g!r} is out of range for {r} goods")
+            mask |= 1 << j
         if float(value) < tables[agent, mask]:
             continue
         tables[agent, mask] = float(value)
@@ -342,7 +348,7 @@ def commodify_two(B: Polytope) -> Economy:
     if B.dim != 2:
         raise ValueError("commodify_two needs a two-agent set")
     _require_normalized(B)
-    chain = _frontier_chain(B, EPS_GEOM)
+    chain = _frontier_chain(B.generators)
     names: list[str] = []
     w1: list[float] = []
     w2: list[float] = []
@@ -518,7 +524,7 @@ def walras_from_equitable_two(B: Polytope, x, tol: float = EPS_GEOM):
     if not _on_segments(segments, x, 1e-9):
         raise ValueError("x is not in the equitable set")
     E = commodify_two(B)
-    chain = _frontier_chain(B, EPS_GEOM)
+    chain = _frontier_chain(B.generators)
     K = len(chain)
     names = list(E.names)
     w1, w2 = E.weights

@@ -10,14 +10,16 @@ powers of two before solving, which conditions pivots without introducing
 any rounding of its own.
 
 The solver serves the equitability witness LP of `solutions` (three or
-more agents) and the polytope queries on sets too large for a facet pass
-(`polytope.FACET_SUBSET_LIMIT`); smaller sets answer from their facets.  The
-consumer problem, max u.q  s.t.  p.q <= 1,  e.q <= 1,  q >= 0, needs no
-LP: every consumer-side quantity comes from one upper concave envelope
-of the (price, utility) points and the origin.  `consumer_envelope`
-reads off the consumer value and the minimal cost among maximizers, and
-`shadow_prices` the supporting prices (c, alpha) with
-alpha * p >= u - c, tight on the demand's support.
+more agents) and the polytope queries on sets of three or more agents too
+large for a facet pass (`polytope.FACET_SUBSET_LIMIT`); other sets answer
+from their facets.  The consumer problem, max u.q  s.t.  p.q <= 1,
+e.q <= 1,  q >= 0, needs no LP: every consumer-side quantity comes from
+one upper concave envelope of the (price, utility) points and the
+origin.  `consumer_envelope` reads off the consumer value and the minimal
+cost among maximizers, and `shadow_prices` the supporting prices
+(c, alpha) with alpha * p >= u - c, tight on the demand's support.  One
+monotone chain, `_rising_chain`, builds that envelope and the two-agent
+Pareto frontier of `polytope`.
 """
 from __future__ import annotations
 
@@ -219,21 +221,16 @@ def _check_consumer_inputs(u, p):
         raise ValueError("agent has no stake: utility row is all zeros")
 
 
-def _envelope(u, p) -> tuple[list[float], list[float]]:
-    """Vertices (costs, utilities) of the consumer's rising upper envelope.
+def _rising_chain(xs: np.ndarray, ys: np.ndarray) -> tuple[list[float], list[float]]:
+    """Vertices of the rising part of the upper concave envelope of the points (x, y).
 
-    The consumer problem is max u.q  s.t.  p.q <= 1,  e.q <= 1,  q >= 0.
-    Its lotteries map (cost, utility) = (p.q, u.q) onto the convex hull of
-    the points (p_j, u_j) and the origin.  Only the Pareto staircase (each
-    point strictly above every cheaper one) can lie on the rising part of
-    the hull's upper concave envelope, so one sort, one running maximum and
-    a monotone chain over the staircase give its vertices: costs increase
-    from 0 and utilities strictly increase.
+    Only the Pareto staircase (each point strictly above every point left
+    of it) can lie on the rising part, so one sort, one running maximum
+    and a monotone chain (Andrew 1979) over the staircase give its
+    vertices: x increases from the leftmost point, y strictly increases,
+    and collinear middle points are dropped.  O(k log k).
     """
-    _check_consumer_inputs(u, p)
-    xs = np.concatenate(([0.0], p))
-    ys = np.concatenate(([0.0], u))
-    order = np.lexsort((-ys, xs))  # by cost, the best utility first on ties
+    order = np.lexsort((-ys, xs))  # by x, the highest point first on ties
     xs, ys = xs[order], ys[order]
     stair = np.empty(ys.shape[0], dtype=bool)
     stair[0] = True
@@ -250,6 +247,18 @@ def _envelope(u, p) -> tuple[list[float], list[float]]:
         hx.append(x)
         hy.append(y)
     return hx, hy
+
+
+def _envelope(u, p) -> tuple[list[float], list[float]]:
+    """Vertices (costs, utilities) of the consumer's rising upper envelope.
+
+    The consumer problem is max u.q  s.t.  p.q <= 1,  e.q <= 1,  q >= 0.
+    Its lotteries map (cost, utility) = (p.q, u.q) onto the convex hull of
+    the points (p_j, u_j) and the origin; costs increase from 0 and
+    utilities strictly increase along the chain.
+    """
+    _check_consumer_inputs(u, p)
+    return _rising_chain(np.concatenate(([0.0], p)), np.concatenate(([0.0], u)))
 
 
 def _peak(hx, hy) -> tuple[float, float]:

@@ -107,18 +107,9 @@ def utility_shift_embed(P: CollectiveProblem, lam) -> CollectiveProblem:
     return CollectiveProblem(P.u + lam[:, None])
 
 
-def _unique_columns(U: np.ndarray):
-    """First-occurrence representatives of identical columns."""
-    seen: dict[bytes, int] = {}
-    reps: list[int] = []
-    inverse = np.empty(U.shape[1], dtype=int)
-    for j in range(U.shape[1]):
-        key = U[:, j].tobytes()
-        if key not in seen:
-            seen[key] = len(reps)
-            reps.append(j)
-        inverse[j] = seen[key]
-    return np.array(reps), inverse
+def _unique_columns(U: np.ndarray) -> np.ndarray:
+    """First-occurrence representatives of identical columns, in column order."""
+    return np.sort(np.unique(U.T, axis=0, return_index=True)[1])
 
 
 def nash_allocation(P: CollectiveProblem, tol: float = 1e-11) -> np.ndarray:
@@ -128,7 +119,7 @@ def nash_allocation(P: CollectiveProblem, tol: float = 1e-11) -> np.ndarray:
     optimal face is flat the payoff vector is still unique.  First-order
     residuals are checked before returning.
     """
-    reps, _ = _unique_columns(P.u)
+    reps = _unique_columns(P.u)
     lam, _, _ = maximize_log_sum_batch(P.u[None, :, reps], tol=tol)
     q = np.zeros(P.k)
     q[reps] = lam[0]
@@ -270,7 +261,7 @@ def sweep_lindahl_payoffs(
     if P.n > 4:
         raise ValueError("sweep cost grows as steps**n; n <= 4 only")
     grid = _shift_grid(P, grid_steps)
-    reps, _ = _unique_columns(P.u)
+    reps = _unique_columns(P.u)
     Ured = P.u[:, reps]
     shifted = np.maximum(Ured[None, :, :] - grid[:, :, None], 0.0)
     lam, _, _ = maximize_log_sum_batch(shifted, tol=1e-11)

@@ -6,10 +6,14 @@ points between the componentwise minimum of the generators and the convex
 hull).  Each set computes the facets of conv(G) - R^n_+ once, on first
 use, and caches them (`Polytope.facets`): rows a >= 0 summing to one and
 b = max_g a.g.  Membership, efficiency and the set-domination order are
-then closed-form reads of (a, b).  Sets whose facet pass would cost more
-than `FACET_SUBSET_LIMIT` candidate normals have no facets and are
-decided by small LPs over the generator weights instead.  Affine images
-of the unit simplex ("simplex games") get closed forms of their own.
+then closed-form reads of (a, b).  Two-agent facets are the edges of the
+Pareto frontier chain (`_frontier_chain`, one sort and a monotone chain)
+plus e_1 and e_2, so two-agent sets have facets at every size and run no
+LP.  With three or more agents the facets come from subsets of the
+maximal generators; sets whose pass would cost more than
+`FACET_SUBSET_LIMIT` candidate normals have no facets and are decided by
+small LPs over the generator weights instead.  Affine images of the unit
+simplex ("simplex games") get closed forms of their own.
 """
 from __future__ import annotations
 
@@ -26,8 +30,9 @@ from .tolerances import DEDUP_SIG_DIGITS, EPS_GEOM
 # Points are plain float vectors.
 Point = np.ndarray
 
-# Largest C(|V| + n, n) for which a set enumerates its facets, where V are
-# its Pareto-maximal generators; above it the predicates solve LPs.
+# Largest C(|V| + n, n) for which a set of n >= 3 agents enumerates its
+# facets, where V are its Pareto-maximal generators; above it the
+# predicates solve LPs.  Two-agent sets read theirs off the frontier chain.
 FACET_SUBSET_LIMIT = 5000
 
 
@@ -90,7 +95,7 @@ class Polytope:
 
     @cached_property
     def facets(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(A, b): conv(generators) - R^n_+ = {y : A y <= b}, or None above the limit.
+        """(A, b): conv(generators) - R^n_+ = {y : A y <= b}; None for n >= 3 above the limit.
 
         Rows of A are nonnegative and sum to one, and b_k = max_g A_k.g.
         """
@@ -111,17 +116,16 @@ def _maximal_rows(G: np.ndarray) -> np.ndarray:
     return np.array(top)
 
 
-def _pareto_mask(G: np.ndarray, below: float, above: float) -> np.ndarray:
-    """Rows g of G with no row h >= g - below that exceeds g + above somewhere.
+def _frontier_chain(G: np.ndarray) -> np.ndarray:
+    """The two-agent Pareto frontier of conv(G) as an (r, 2) upper concave chain.
 
-    A row h that dominates g in this sense lies weakly below some maximal
-    row v, and then v dominates g too, so testing the maximal rows suffices.
+    Mirroring x -> -x turns the frontier into a rising chain; read back, its
+    vertices are distinct Pareto-maximal generators with x increasing and y
+    strictly decreasing.  Collinear middle points are dropped.  Exact: no
+    tolerance shapes the chain.
     """
-    dominated = np.zeros(len(G), dtype=bool)
-    lo, hi = G - below, G + above
-    for v in _maximal_rows(G):
-        dominated |= (v >= lo).all(axis=1) & (v > hi).any(axis=1)
-    return ~dominated
+    hx, hy = lp._rising_chain(-G[:, 0], G[:, 1])
+    return np.column_stack([np.negative(hx), hy])[::-1]
 
 
 @lru_cache(maxsize=64)
@@ -139,7 +143,22 @@ def _subsets(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _facets(G: np.ndarray):
-    """Facet rows of conv(G) - R^n_+ from the n-subsets of its vertices and the -e_i.
+    """Facet rows of conv(G) - R^n_+: from the frontier chain for n = 2, else by subsets."""
+    if G.shape[1] == 2:
+        return _chain_facets(_frontier_chain(G))
+    return _subset_facets(_maximal_rows(G))
+
+
+def _chain_facets(C: np.ndarray):
+    """Each edge of the two-agent frontier chain C gives a facet, and so do e_1 and e_2."""
+    D = np.column_stack([C[:-1, 1] - C[1:, 1], C[1:, 0] - C[:-1, 0]])
+    N = D / D.sum(axis=1, keepdims=True)
+    edge_b = np.maximum((N * C[:-1]).sum(axis=1), (N * C[1:]).sum(axis=1))
+    return _sorted_facets(np.vstack([np.eye(2), N]), np.concatenate([[C[-1, 0], C[0, 1]], edge_b]))
+
+
+def _subset_facets(V: np.ndarray):
+    """Facets from the n-subsets of the maximal rows V and the -e_i; None above the limit.
 
     Each subset holds a generator g0 and n - 1 of: other generators (as
     differences from g0) and unit directions; the cofactors of those n - 1
@@ -147,7 +166,6 @@ def _facets(G: np.ndarray):
     nonnegative and its hyperplane supports the set at every generator of
     its subset.
     """
-    V = _maximal_rows(G)
     k, n = V.shape
     if comb(k + n, n) > FACET_SUBSET_LIMIT:
         return None
@@ -166,7 +184,11 @@ def _facets(G: np.ndarray):
     b = values.max(axis=1)
     at = values[np.arange(len(values))[:, None], np.minimum(subsets, k - 1)]
     supports = ((at >= b[:, None] - 1e-10 * (1.0 + np.abs(V).max())) | (subsets >= k)).all(axis=1)
-    A, b = A[supports], b[supports]
+    return _sorted_facets(A[supports], b[supports])
+
+
+def _sorted_facets(A: np.ndarray, b: np.ndarray):
+    """Distinct rows (to 12 decimals) in lexicographic order, read-only."""
     key = np.round(A, 12)
     order = np.lexsort(key.T)
     first = np.concatenate([[True], (key[order[1:]] != key[order[:-1]]).any(axis=1)])

@@ -7,7 +7,8 @@ and substituting t_i = 1/(x_i - c_i) turns witness existence into a
 piecewise-linear feasibility problem, solved here by one LP.  For two
 agents the frontier characterization (Pareto efficiency plus midpoint
 domination) is used instead and doubles as an independent cross-check;
-its witness reads the supporting normal off B's cached facets, so the
+its witness reads the supporting normal off B's cached facets, which
+two-agent sets have at every size, so no two-agent path runs an LP.  The
 n >= 3 witness LP is the only LP on the equitability path (apart from
 sets too large for a facet pass, see `polytope.FACET_SUBSET_LIMIT`).
 Every verdict is exact: a member with a re-validated certificate, or a
@@ -29,7 +30,7 @@ from .polytope import (
     DegenerateSetError,
     Polytope,
     SimplexGame,
-    _pareto_mask,
+    _frontier_chain,
     _tight_normals,
     as_point,
     contains,
@@ -105,36 +106,12 @@ def _supporting_normal(B: Polytope, x: np.ndarray) -> np.ndarray:
     The normals of B at x, scaled to sum one, are the segment between its
     tight facet normals; the point of it nearest (1/2, 1/2) maximizes min_i a_i.
     """
-    F = B.facets
-    if F is None:
-        return _supporting_normal_lp(B, x)
-    tight = _tight_normals(F, x, EPS_GEOM)[:, 0]
+    tight = _tight_normals(B.facets, x, EPS_GEOM)[:, 0]
     a1 = float(np.clip(0.5, tight.min(), tight.max())) if len(tight) else 0.0
     a = np.array([a1, 1.0 - a1])
     if a.min() <= EPS_GEOM:
         raise lp.LpError("no strictly positive supporting normal; point is not efficient")
     return a
-
-
-def _supporting_normal_lp(B: Polytope, x: np.ndarray) -> np.ndarray:
-    G = B.generators
-    m, n = G.shape
-    slack = EPS_GEOM * (1.0 + np.abs(G).max())
-    # Variables (a, s): maximize s subject to a.(g - x) <= slack, sum a = 1, s <= a_i.
-    A = np.zeros((m + 2 + n, n + 1))
-    A[:m, :n] = G - x
-    A[m, :n] = 1.0
-    A[m + 1, :n] = -1.0
-    for i in range(n):
-        A[m + 2 + i, i] = -1.0
-        A[m + 2 + i, n] = 1.0
-    b = np.concatenate([np.full(m, slack), [1.0, -1.0], np.zeros(n)])
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    sol = lp.solve(c, A, b)
-    if sol.status != lp.OPTIMAL or sol.objective_value <= EPS_GEOM:
-        raise lp.LpError("no strictly positive supporting normal; point is not efficient")
-    return sol.primal[:n]
 
 
 def _two_agent_witness(B: Polytope, x: np.ndarray) -> SimplexGame:
@@ -270,12 +247,13 @@ def equitable_set_2d(B: Polytope, tol: float = EPS_GEOM):
     Intersects the efficient frontier polyline with the box above the
     midpoint benchmark; returns a list of (start, end) pairs ordered by
     the first coordinate.  A single point comes back as a degenerate
-    segment.
+    segment.  The frontier chain is exact; `tol` only widens the box at
+    the clipping step.
     """
     if B.dim != 2:
         raise ValueError("equitable_set_2d needs a two-agent set")
     _require_full_dimensional(B)
-    chain = _frontier_chain(B, tol)
+    chain = _frontier_chain(B.generators)
     lo = random_dictator_point(B)
     clipped = _clip_chain(chain, lo, tol)
     if clipped is None:
@@ -283,29 +261,6 @@ def equitable_set_2d(B: Polytope, tol: float = EPS_GEOM):
     return [(clipped[i], clipped[i + 1]) for i in range(len(clipped) - 1)] or [
         (clipped[0], clipped[0])
     ]
-
-
-def _frontier_chain(B: Polytope, tol: float):
-    G = B.generators
-    keep = G[_pareto_mask(G, 1e-15, 1e-12)]
-    pts = sorted(keep, key=lambda p: (p[0], -p[1]))
-    dedup = []
-    for p in pts:
-        if dedup and abs(p[0] - dedup[-1][0]) <= 1e-12:
-            continue
-        dedup.append(np.array(p))
-    # Upper concave chain; interior and collinear middle points are dropped.
-    chain: list[np.ndarray] = []
-    for p in dedup:
-        while len(chain) >= 2:
-            a, b = chain[-2], chain[-1]
-            cross = (p[0] - a[0]) * (b[1] - a[1]) - (b[0] - a[0]) * (p[1] - a[1])
-            if cross <= tol * (1.0 + np.abs(p).max()):
-                chain.pop()
-            else:
-                break
-        chain.append(p)
-    return chain
 
 
 def _clip_chain(chain, lo, tol):

@@ -15,6 +15,11 @@ Lindahl certificates have a per-shift assembly here
 its prices formed, one shift at a time.  The library builds them as
 arrays, all of a sweep's certificates at once.
 
+The two-agent frontier chain has its old tolerance-based form here
+(`frontier_chain_tol`), and the two-agent supporting normal its LP form
+(`supporting_normal_lp`); the library reads both off one exact monotone
+chain.
+
 The matching and exchange conversions have loop forms here that walk
 the matchings (or goods) one agent at a time; the library computes the
 same arrays as gathers and scatters over a stored index.
@@ -29,6 +34,7 @@ from scipy.optimize import linprog
 
 from ccm import lp
 from ccm import market
+from ccm.tolerances import EPS_GEOM
 
 
 def lp_vertex_enum(c, A, b):
@@ -157,6 +163,63 @@ def frontier_points_2d(generators, steps=2000):
     if not out:
         return np.array(chain)
     return np.vstack([np.array(chain)] + out)
+
+
+def frontier_chain_tol(generators, tol=EPS_GEOM):
+    """The two-agent frontier chain by tolerance tests, as a list of points.
+
+    A generator is dropped when another one is at least as good up to
+    1e-15 and better by more than 1e-12 somewhere; points whose first
+    coordinates agree to 1e-12 keep the highest; a middle point within
+    tol (1 + |p|_inf) of the chord is dropped.  `polytope._frontier_chain`
+    builds the same chain exactly, by one monotone chain.
+    """
+    G = np.asarray(generators, float)
+    covers = (G[None, :, :] >= G[:, None, :] - 1e-15).all(axis=2)
+    exceeds = (G[None, :, :] > G[:, None, :] + 1e-12).any(axis=2)
+    keep = G[~(covers & exceeds).any(axis=1)]
+    pts = sorted(keep, key=lambda p: (p[0], -p[1]))
+    dedup = []
+    for p in pts:
+        if dedup and abs(p[0] - dedup[-1][0]) <= 1e-12:
+            continue
+        dedup.append(np.array(p))
+    chain: list[np.ndarray] = []
+    for p in dedup:
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            cross = (p[0] - a[0]) * (b[1] - a[1]) - (b[0] - a[0]) * (p[1] - a[1])
+            if cross <= tol * (1.0 + np.abs(p).max()):
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
+
+
+def supporting_normal_lp(B, x):
+    """A supporting normal at x of the two-agent set B with the largest min_i a_i, by LP.
+
+    Maximizes s subject to a.(g - x) <= slack for every generator g,
+    sum a = 1 and s <= a_i; raises `lp.LpError` unless s > EPS_GEOM.
+    """
+    G = B.generators
+    m, n = G.shape
+    slack = EPS_GEOM * (1.0 + np.abs(G).max())
+    A = np.zeros((m + 2 + n, n + 1))
+    A[:m, :n] = G - x
+    A[m, :n] = 1.0
+    A[m + 1, :n] = -1.0
+    for i in range(n):
+        A[m + 2 + i, i] = -1.0
+        A[m + 2 + i, n] = 1.0
+    b = np.concatenate([np.full(m, slack), [1.0, -1.0], np.zeros(n)])
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    sol = lp.solve(c, A, b)
+    if sol.status != lp.OPTIMAL or sol.objective_value <= EPS_GEOM:
+        raise lp.LpError("no strictly positive supporting normal; point is not efficient")
+    return sol.primal[:n]
 
 
 def nash_point_grid_2d(generators, steps=4000):

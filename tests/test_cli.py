@@ -198,6 +198,25 @@ def test_schema_rejects_malformed_problem(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize(
+    "bundle, named",
+    [({"agent": 0, "items": [5], "value": "1"}, "good 5"), ({"agent": 3, "items": [0], "value": "1"}, "agent 3")],
+)
+def test_out_of_range_bundle_is_a_json_error(bundle, named, tmp_path, capsys):
+    doc = {
+        "type": "economy",
+        "kind": "table",
+        "goods": ["a", "b"],
+        "agents": 2,
+        "bundles": [{"agent": 1, "items": [1], "value": "1"}, bundle],
+    }
+    bad = tmp_path / "economy.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "nash", str(bad))
+    assert code == 1 and out == ""
+    assert named in json.loads(err)["error"]
+
+
 def test_inadmissible_shift_exit_code(capsys):
     code, _, err = run(capsys, "solve", path("town.json"), "--c", "0.9,0.9")
     assert code == 2

@@ -303,3 +303,12 @@ class TestWalrasFromEquitable:
                 tbl = E.value_table()
                 pay = np.array([tbl[i] @ theta.marginal(i, E.r) for i in range(2)])
                 assert np.abs(pay - x).max() <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "triple, named",
+    [((-1, [0], 1.0), "agent -1"), ((2, [0], 1.0), "agent 2"), ((0, [2], 1.0), "good 2"), ((0, [-1], 1.0), "good -1")],
+)
+def test_out_of_range_bundle_indices_raise(triple, named):
+    with pytest.raises(ValueError, match=named):
+        ex.economy_from_bundle_values(2, ("a", "b"), [(1, [1], 1.0), triple])

@@ -2,21 +2,38 @@
 
 `Polytope.facets` turns domination slack, membership, set domination,
 efficiency and the two-agent supporting normal into closed-form reads.
-The LP forms stay in `polytope` and `solutions` for sets above
-`FACET_SUBSET_LIMIT`; here they are the reference, on the corpus
-bargaining sets, random sets with duplicated, dominated and flat
-generators, singletons and one set above the limit.
+The LP forms stay in `polytope` and `solutions` for sets of three or more
+agents above `FACET_SUBSET_LIMIT`; here they are the reference, on the
+corpus bargaining sets, random sets with duplicated, dominated and flat
+generators, singletons and one set above the limit.  Two-agent sets read
+their facets off the frontier chain at every size; the subset pass, the
+tolerance-based frontier chain (`_oracles.frontier_chain_tol`) and the
+LP supporting normal (`_oracles.supporting_normal_lp`) are their
+references, on the sets above, quarter circles, the fixtures and one
+two-agent set far above the limit.
 """
+import json
+import os
+from math import comb
+
 import numpy as np
 import pytest
 
+from ccm import cli
 from ccm import lp
 from ccm import market as mk
 from ccm import polytope as pt
 from ccm import solutions as sol
 from ccm.tolerances import EPS_GEOM
 
-from _oracles import random_collective, random_normalized_polytope
+from _oracles import (
+    frontier_chain_tol,
+    random_collective,
+    random_normalized_polytope,
+    supporting_normal_lp,
+)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _lp_contains(B, x, tol=EPS_GEOM):
@@ -60,16 +77,39 @@ def _check_predicates(B, X):
             assert pt.is_pareto_efficient(B, x) == pt._is_pareto_efficient_lp(B, x, EPS_GEOM), x
 
 
+def _two_agent_lp_status(B, x, tol=EPS_GEOM):
+    """The two-agent verdict by LP: efficiency, midpoint domination, an LP-normal witness."""
+    d = B.disagreement
+    assert _lp_contains(B, x)
+    if np.any(x - d <= tol) or np.any(x < sol.random_dictator_point(B) - tol):
+        return sol.NON_MEMBER
+    if not pt._is_pareto_efficient_lp(B, x, tol):
+        return sol.NON_MEMBER
+    a = supporting_normal_lp(B, x)
+    c = np.maximum(x - float(np.min(a * (x - d))) / a, d)
+    witness = pt.SimplexGame(x - c, c)
+    cert = sol.EquitabilityCertificate(witness, pt.fair_outcome(witness))
+    assert sol.validate_certificate(B, x, cert), x
+    return sol.MEMBER
+
+
 def _check_equitable(B, X, monkeypatch):
-    """equitable_contains gives the verdicts of the all-LP route, with valid witnesses."""
+    """equitable_contains gives the verdicts of the all-LP route, with valid witnesses.
+
+    Two-agent sets have facets at every size, so their LP route is spelled
+    out in `_two_agent_lp_status`; larger sets take it with no facets.
+    """
     for x in X:
         if not pt.contains(B, x):
             continue
         verdict = sol.equitable_contains(B, x)
-        with monkeypatch.context() as m:
-            m.setattr(pt, "FACET_SUBSET_LIMIT", 0)
-            reference = sol.equitable_contains(pt.Polytope(B.generators), x)
-        assert verdict.status == reference.status, x
+        if B.dim == 2:
+            reference = _two_agent_lp_status(B, x)
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(pt, "FACET_SUBSET_LIMIT", 0)
+                reference = sol.equitable_contains(pt.Polytope(B.generators), x).status
+        assert verdict.status == reference, x
         if verdict.is_member:
             assert sol.validate_certificate(B, x, verdict.certificate)
 
@@ -94,18 +134,23 @@ def test_corpus_sets_agree_with_lp_forms(monkeypatch):
             _check_equitable(B, np.vstack([X[len(X) // 2 :], sol.nash_solution(B)]), monkeypatch)
 
 
+def _random_set(rng, n, trial):
+    """A random set with duplicated and dominated generators, flat on every third trial."""
+    G = random_normalized_polytope(rng, n=n, max_vertices=7)
+    extra = [G[: int(rng.integers(1, len(G) + 1))]]  # duplicates
+    extra.append(G[:2] * rng.uniform(0.3, 1.0, (min(2, len(G)), n)))  # dominated
+    if trial % 3 == 0:  # flat: one coordinate constant
+        G = G.copy()
+        G[:, int(rng.integers(0, n))] = 0.5
+    G = np.vstack([G, *extra])
+    return pt.Polytope(G[rng.permutation(len(G))])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_random_sets_with_duplicated_dominated_and_flat_generators(n, monkeypatch):
     rng = np.random.default_rng(10 + n)
     for trial in range(25):
-        G = random_normalized_polytope(rng, n=n, max_vertices=7)
-        extra = [G[: int(rng.integers(1, len(G) + 1))]]  # duplicates
-        extra.append(G[:2] * rng.uniform(0.3, 1.0, (min(2, len(G)), n)))  # dominated
-        if trial % 3 == 0:  # flat: one coordinate constant
-            G = G.copy()
-            G[:, int(rng.integers(0, n))] = 0.5
-        G = np.vstack([G, *extra])
-        B = pt.Polytope(G[rng.permutation(len(G))])
+        B = _random_set(rng, n, trial)
         X = _queries(B, rng)
         _check_predicates(B, X)
         other = pt.Polytope(random_normalized_polytope(rng, n=n))
@@ -137,7 +182,7 @@ def test_two_agent_supporting_normal_supports():
             if not pt.is_pareto_efficient(B, x):
                 continue
             a = sol._supporting_normal(B, x)
-            ref = sol._supporting_normal_lp(B, x)
+            ref = supporting_normal_lp(B, x)
             assert np.all(a > EPS_GEOM) and abs(a.sum() - 1.0) <= 1e-12
             assert np.all((B.generators - x) @ a <= 1e-9 * (1.0 + np.abs(x).max()))
             # The max-min normal; the LP's constraint slack lets it tilt a little further.
@@ -182,20 +227,77 @@ def test_facets_are_built_once_per_instance(monkeypatch):
     assert sum(G is B.generators for G in seen) == 1
 
 
-def test_pareto_mask_matches_pairwise_definition():
+def test_maximal_rows_match_pairwise_definition():
     rng = np.random.default_rng(9)
     for _ in range(60):
         n = int(rng.integers(1, 4))
         G = rng.integers(0, 5, size=(int(rng.integers(1, 12)), n)) / 4.0
         G = np.vstack([G, G[:3] + rng.choice([0, 1e-13, -1e-13, 5e-16], size=G[:3].shape)])
-        want = [
-            not any(
-                j != i and np.all(h >= g - 1e-15) and np.any(h > g + 1e-12)
-                for j, h in enumerate(G)
-            )
-            for i, g in enumerate(G)
-        ]
-        assert pt._pareto_mask(G, 1e-15, 1e-12).tolist() == want
         exact = pt._maximal_rows(G)
         assert len(np.unique(exact, axis=0)) == len(exact)
         assert all(not np.any(np.all(G >= v, axis=1) & np.any(G > v, axis=1)) for v in exact)
+
+
+def _quarter_circle(m):
+    theta = np.linspace(0.0, np.pi / 2, m)
+    return pt.Polytope(np.column_stack([np.cos(theta), np.sin(theta)]))
+
+
+def _two_agent_sets():
+    """Corpus, random, quarter-circle and fixture sets with two agents."""
+    sets = _corpus_sets(400)[::2]
+    rng = np.random.default_rng(12)
+    sets += [_random_set(rng, 2, trial) for trial in range(200)]
+    sets += [_quarter_circle(m) for m in (5, 6, 12, 30, 64, 90)]
+    for name in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, name)) as fh:
+            B = cli._bargaining_of(json.load(fh))
+        if B.dim == 2:
+            sets.append(B)
+    return sets
+
+
+def test_two_agent_facets_equal_the_subset_pass():
+    sets = _two_agent_sets()
+    assert len(sets) > 400
+    for B in sets:
+        G = B.generators
+        A, b = B.facets
+        A0, b0 = pt._subset_facets(pt._maximal_rows(G))
+        assert A.shape == A0.shape, G
+        assert np.abs(A - A0).max() <= 1e-12 and np.abs(b - b0).max() <= 1e-12, G
+        chain = pt._frontier_chain(G)
+        assert chain.shape[1] == 2
+        assert np.array_equal(chain, np.array(frontier_chain_tol(G))), G
+
+
+def test_two_agent_set_above_the_subset_limit_runs_no_lp(monkeypatch):
+    m = 400
+    assert comb(m + 2, 2) > pt.FACET_SUBSET_LIMIT
+    B = _quarter_circle(m)
+    assert B.facets is not None
+    rng = np.random.default_rng(4)
+    G = B.generators
+    box = rng.uniform(-0.1, 1.1, (4, 2))
+    inner = rng.dirichlet(np.ones(m), 4) @ G - rng.uniform(0, 0.2, (4, 2))
+    pts = np.vstack([G[::50], box, inner])
+    X = np.vstack([pts, [y + pt._domination_slack_lp(B, y) for y in pts]])
+    _check_predicates(B, X)
+    # Arc points above and below the midpoint benchmark (0.5, 0.5).
+    probes = G[[200, 150, 20, 390]]
+    verdicts = [sol.equitable_contains(B, x).status for x in probes]
+    assert verdicts == [sol.MEMBER, sol.MEMBER, sol.NON_MEMBER, sol.NON_MEMBER]
+    assert verdicts == [_two_agent_lp_status(B, x) for x in probes]
+
+    def no_lp(*args):
+        raise AssertionError("a two-agent set ran an LP")
+
+    monkeypatch.setattr(lp, "solve", no_lp)
+    fresh = _quarter_circle(m)
+    assert [sol.equitable_contains(fresh, x).status for x in probes] == verdicts
+    for x in X:
+        if pt.contains(fresh, x):
+            pt.is_pareto_efficient(fresh, x)
+    assert pt.dominates(fresh, B) and pt.dominates(B, fresh)
+    assert not pt.dominates(pt.Polytope(0.9 * G), fresh)
+    assert sol.equitable_set_2d(fresh)

@@ -25,7 +25,7 @@ def _corpus_batch(index, steps):
     for t in range(index + 1):
         u = random_collective(rng, n=2 if t % 2 == 0 else 3)
     P = mk.CollectiveProblem(u)
-    reps, _ = mk._unique_columns(P.u)
+    reps = mk._unique_columns(P.u)
     grid = mk._shift_grid(P, steps)
     return np.maximum(P.u[:, reps][None, :, :] - grid[:, :, None], 0.0)
 
