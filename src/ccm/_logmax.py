@@ -14,8 +14,10 @@ support, which doubles as the reported KKT residual.
 
 The method has two phases, and convergence is decided per cell:
 
-* A damped multiplicative ascent (proportional-response dynamics) from
-  the uniform lottery, for at most `warm_iters` iterations.  Iterates
+* A multiplicative ascent from the uniform lottery, for at most
+  `warm_iters` iterations: lam_j <- lam_j phi_j / n.  This is the EM
+  update for mixture weights (Dempster, Laird & Rubin 1977; Cover 1984),
+  which never decreases the objective, so every step is taken.  Iterates
   stay in the relative interior.  Every 16 iterations each cell is
   tested on its own: it is done once its last gain is at most
   1e-13 (1 + |f|) or its residual meets the tolerance.  The ascent stops
@@ -44,6 +46,7 @@ import numpy as np
 _SUPP_EPS = 1e-10
 _NEWTON_SLICE = 1024
 _SUPPORT_ROUNDS = 10
+_NEWTON_ITERS = 40
 
 
 class ConvergenceError(RuntimeError):
@@ -73,37 +76,30 @@ def _residuals(C, lam, x):
 
 
 def _warm_start(C, iters, tol):
-    """Damped multiplicative ascent from the uniform lottery.
+    """EM ascent from the uniform lottery: lam_j <- lam_j phi_j / n.
 
     Returns (lam, x).  Stops early once every cell has stalled or met `tol`.
     """
     n, m, b = C.shape
     lam = np.full((m, b), 1.0 / m)
     x, f = _objective(C, lam)
-    beta = np.ones(b)
     gain = np.zeros(b)
     for it in range(iters):
         phi = _gradients(C, x)
         if it % 16 == 0 and it:
             if not ((gain > 1e-13 * (1.0 + np.abs(f))) & (_kkt(phi, lam, n) > tol)).any():
                 break
-        # phi >= 0, and 0 ** beta == 0 keeps dead columns at zero weight.
-        cand = phi
-        cand /= n
-        cand **= beta
-        cand *= lam
-        cand /= cand.sum(axis=0)
-        xc, fc = _objective(C, cand)
-        accept = fc >= f - 1e-14 * np.abs(f)
-        lam = np.where(accept, cand, lam)
-        x = np.where(accept, xc, x)
-        gain = np.where(accept, fc - f, 0.0)
-        f = np.where(accept, fc, f)
-        beta = np.where(accept, np.minimum(1.0, beta * 1.2), np.maximum(beta * 0.5, 1e-4))
+        # phi >= 0, so dead columns stay at zero weight.
+        phi /= n
+        lam = lam * phi
+        lam /= lam.sum(axis=0)
+        x, fc = _objective(C, lam)
+        gain = fc - f
+        f = fc
     return lam, x
 
 
-def _newton_group(Cg, lamS, iters):
+def _newton_group(Cg, lamS):
     """Newton steps on a shared support, with a primal active set.
 
     Columns that coincide within a cell are solved as one column, the
@@ -123,7 +119,7 @@ def _newton_group(Cg, lamS, iters):
     lamS = merged
     free = rep == cols[:, None]
     x, f = _objective(Cg, lamS)
-    for _ in range(iters):
+    for _ in range(_NEWTON_ITERS):
         inv = 1.0 / x
         g = np.einsum("nsb,nb->sb", Cg, inv)
         M = np.zeros((b, s + 1, s + 1))
@@ -212,7 +208,7 @@ def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
                 lamS = lam[np.ix_(S, cells)]
                 lamS /= lamS.sum(axis=0)
                 lam[:, cells] = 0.0
-                lam[np.ix_(S, cells)] = _newton_group(C[np.ix_(np.arange(n), S, cells)], lamS, iters=40)
+                lam[np.ix_(S, cells)] = _newton_group(C[np.ix_(np.arange(n), S, cells)], lamS)
         Ct = C[:, :, todo]
         xt, f[todo] = _objective(Ct, lam[:, todo])
         r, phi = _residuals(Ct, lam[:, todo], xt)
@@ -224,9 +220,3 @@ def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
         f"log-welfare maximizer missed tolerance {tol} on {todo.size} cell(s)"
     )
 
-
-def maximize_log_sum(C, tol=1e-11):
-    """Single-problem convenience wrapper; C has shape (n, m)."""
-    C = np.asarray(C, dtype=float)
-    lam, value, resid = maximize_log_sum_batch(C[None], tol=tol)
-    return lam[0], float(value[0]), float(resid[0])

@@ -191,14 +191,52 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_ERROR
 
 
-def _verdict_json(verdict) -> dict:
+def _verdict_json(verdict, extra=()) -> dict:
+    violations = [*verdict.violations, *extra]
     return {
-        "passed": verdict.passed,
+        "passed": verdict.passed and not extra,
         "violations": [
             {"condition": v.condition, "agent": v.agent, "residual": v.residual}
-            for v in verdict.violations
+            for v in violations
         ],
     }
+
+
+def _payoff_violations(P, cert: dict, tol: float, listed=None) -> list[market.Violation]:
+    """`payoffs` = u q on the collective form, and `alpha` + `c` = `payoffs`, where given.
+
+    `listed` is a sweep's top-level payoff row for this certificate, held
+    to u q as well.  Judged at `verify_lindahl`'s threshold, tol times its scale.
+    """
+    vector = polytope.as_point  # 1-d, finite, of the given length
+    value = P.u @ vector(cert["q"], P.k)
+    gaps = {}
+    if "payoffs" in cert:
+        payoffs = vector(cert["payoffs"], P.n)
+        gaps["payoffs"] = payoffs - value
+        if "alpha" in cert and "c" in cert:
+            gaps["payoff_split"] = vector(cert["alpha"], P.n) + vector(cert["c"], P.n) - payoffs
+    if listed is not None:
+        gaps["listed_payoffs"] = vector(listed, P.n) - value
+    limit = tol * (1.0 + max(P.u.max(), 1.0))
+    return [
+        market.Violation(condition, i, float(abs(g)))
+        for condition, gap in gaps.items()
+        for i, g in enumerate(gap)
+        if abs(g) > limit
+    ]
+
+
+def _witness_holds(B: polytope.Polytope, x: np.ndarray, witness) -> bool:
+    """True iff `witness` is a simplex game that `solutions.validate_certificate` accepts at x."""
+    try:
+        game = polytope.SimplexGame(witness["scale"], witness["base"])
+    except (TypeError, KeyError, ValueError):
+        return False
+    if game.dim != B.dim:
+        return False
+    cert = solutions.EquitabilityCertificate(game, polytope.fair_outcome(game))
+    return solutions.validate_certificate(B, x, cert)
 
 
 def _reverify(doc: dict, cert: dict, tol: float) -> dict:
@@ -206,12 +244,19 @@ def _reverify(doc: dict, cert: dict, tol: float) -> dict:
     if kind == "lindahl":
         P = _collective_of(doc)
         verdict = market.verify_lindahl(P, _matrix(cert["p"]), np.array(cert["q"]), tol)
-        return _verdict_json(verdict)
+        return _verdict_json(verdict, _payoff_violations(P, cert, tol))
     if kind == "lindahl_sweep":
         P = _collective_of(doc)
+        certs = cert["certificates"]
+        listed = cert.get("payoffs", [None] * len(certs))
+        if len(listed) != len(certs):
+            raise ValueError("the payoff list and the certificates differ in length")
         out = [
-            _verdict_json(market.verify_lindahl(P, _matrix(c["p"]), np.array(c["q"]), tol))
-            for c in cert["certificates"]
+            _verdict_json(
+                market.verify_lindahl(P, _matrix(c["p"]), np.array(c["q"]), tol),
+                _payoff_violations(P, c, tol, row),
+            )
+            for c, row in zip(certs, listed)
         ]
         return {"passed": all(v["passed"] for v in out), "certificates": out}
     if kind == "walras_matching":
@@ -219,7 +264,7 @@ def _reverify(doc: dict, cert: dict, tol: float) -> dict:
         verdict = matching.verify_walras_matching(
             M, _matrix(cert["pi"]), _matrix(cert["xi"]), np.array(cert["q"]), tol
         )
-        return _verdict_json(verdict)
+        return _verdict_json(verdict, _payoff_violations(matching.to_collective(M), cert, tol))
     if kind == "walras_exchange":
         E = _economy_of(doc)
         prices = _prices_from_json(E, cert["prices"])
@@ -230,14 +275,15 @@ def _reverify(doc: dict, cert: dict, tol: float) -> dict:
         verdict = exchange.verify_walras_exchange(E, prices, theta, tol)
         return _verdict_json(verdict)
     if kind == "equitable":
+        # A member passes on its stored witness; a non-member when x is
+        # outside B or the decision finds no witness either.
         B = _bargaining_of(doc)
-        verdict = solutions.equitable_contains(B, np.array(cert["point"]))
-        same = verdict.status == cert["status"]
-        ok = same and (
-            not verdict.is_member
-            or solutions.validate_certificate(B, np.array(cert["point"]), verdict.certificate)
-        )
-        return {"passed": bool(ok), "status": verdict.status}
+        x = polytope.as_point(cert["point"], B.dim)
+        if cert["status"] == solutions.MEMBER and _witness_holds(B, x, cert.get("witness")):
+            return {"passed": True, "status": solutions.MEMBER}
+        inside = polytope.contains(B, x)
+        status = solutions.equitable_contains(B, x).status if inside else solutions.NON_MEMBER
+        return {"passed": cert["status"] == status == solutions.NON_MEMBER, "status": status}
     if kind == "nash":
         if doc["type"] == "bargaining":
             B = _bargaining_of(doc)
@@ -246,7 +292,10 @@ def _reverify(doc: dict, cert: dict, tol: float) -> dict:
         P = _collective_of(doc)
         q = np.array(cert["q"])
         resid = _nash_residual(P, q)
-        return {"passed": bool(resid <= 1e-8), "kkt_residual": resid}
+        found = _payoff_violations(P, cert, tol)
+        report = _verdict_json(market.Verdict(bool(resid <= 1e-8)), found)
+        report["kkt_residual"] = resid
+        return report
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 

@@ -508,7 +508,7 @@ def achievable_payoff_polytope(E: Economy) -> Polytope:
     return coco_hull(np.vstack([np.array(feasible), np.zeros(E.n)]))
 
 
-def walras_from_equitable_two(B: Polytope, x, tol: float = EPS_GEOM):
+def walras_from_equitable_two(B: Polytope, x):
     """Exchange equilibrium with payoff x, for any equitable two-agent point.
 
     Commodifies B, then prices the marginal frontier good so both agents

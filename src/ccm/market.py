@@ -112,7 +112,7 @@ def _unique_columns(U: np.ndarray) -> np.ndarray:
     return np.sort(np.unique(U.T, axis=0, return_index=True)[1])
 
 
-def nash_allocation(P: CollectiveProblem, tol: float = 1e-11) -> np.ndarray:
+def nash_allocation(P: CollectiveProblem) -> np.ndarray:
     """A lottery maximizing sum_i log(u_i . q) over the full unit simplex.
 
     The returned lottery is the solver's deterministic limit; when the
@@ -120,7 +120,7 @@ def nash_allocation(P: CollectiveProblem, tol: float = 1e-11) -> np.ndarray:
     residuals are checked before returning.
     """
     reps = _unique_columns(P.u)
-    lam, _, _ = maximize_log_sum_batch(P.u[None, :, reps], tol=tol)
+    lam, _, _ = maximize_log_sum_batch(P.u[None, :, reps])
     q = np.zeros(P.k)
     q[reps] = lam[0]
     return q
@@ -266,8 +266,20 @@ def sweep_lindahl_payoffs(
     shifted = np.maximum(Ured[None, :, :] - grid[:, :, None], 0.0)
     lam, _, _ = maximize_log_sum_batch(shifted, tol=1e-11)
 
-    below = Ured[None, :, :] < grid[:, :, None] - tol
-    live = np.nonzero(~((lam > EPS_SUPP) & below.any(axis=1)).any(axis=1))[0]
+    # A supported column that gives some agent less than c_i - tol is
+    # inadmissible, but the solver splits weight between twins (columns
+    # identical after the shift): its weight moves to a twin that gives no
+    # agent less, if there is one.  Payoffs and alpha stay as they are.
+    below = (Ured[None, :, :] < grid[:, :, None] - tol).any(axis=1)
+    bad = (lam > EPS_SUPP) & below
+    b, j = np.nonzero(bad)
+    twins = (shifted[b] == shifted[b, :, j][:, :, None]).all(axis=1) & ~below[b]
+    found = twins.any(axis=1)
+    b, j = b[found], j[found]
+    np.add.at(lam, (b, twins[found].argmax(axis=1)), lam[b, j])
+    lam[b, j] = 0.0
+    bad[b, j] = False
+    live = np.nonzero(~bad.any(axis=1))[0]
     payoffs = (np.matmul(shifted, lam[:, :, None])[:, :, 0] + grid)[live]
     kept = live[_first_hits(payoffs, PAYOFF_DEDUP)]
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from ._logmax import maximize_log_sum
+from ._logmax import maximize_log_sum_batch
 from .polytope import (
     DegenerateSetError,
     Polytope,
@@ -75,12 +75,12 @@ def _require_full_dimensional(B: Polytope):
         raise DegenerateSetError("operation needs a full-dimensional bargaining set")
 
 
-def nash_solution(B: Polytope, tol: float = EPS_OPT) -> np.ndarray:
+def nash_solution(B: Polytope) -> np.ndarray:
     """The payoff vector maximizing sum_i log(x_i - d_i) over B."""
     _require_full_dimensional(B)
     d = B.disagreement
-    lam, _, _ = maximize_log_sum((B.generators - d).T, tol=max(tol, 1e-12))
-    return B.generators.T @ lam
+    lam, _, _ = maximize_log_sum_batch((B.generators - d).T[None], tol=EPS_OPT)
+    return B.generators.T @ lam[0]
 
 
 def supporting_simplex(B: Polytope, tol: float = EPS_GEOM) -> SimplexGame:

@@ -20,6 +20,10 @@ The two-agent frontier chain has its old tolerance-based form here
 (`supporting_normal_lp`); the library reads both off one exact monotone
 chain.
 
+The log-welfare solver's ascent has its old damped form here
+(`damped_warm_start`), which takes a step only if it does not lower the
+objective and records the steps it rejects; the library takes every step.
+
 The matching and exchange conversions have loop forms here that walk
 the matchings (or goods) one agent at a time; the library computes the
 same arrays as gathers and scatters over a stored index.
@@ -32,7 +36,7 @@ from itertools import combinations, product
 import numpy as np
 from scipy.optimize import linprog
 
-from ccm import lp
+from ccm import _logmax, lp
 from ccm import market
 from ccm.tolerances import EPS_GEOM
 
@@ -378,3 +382,41 @@ def shift_certificate(P, c, q):
     alpha = shifted.u @ q
     p = shifted.u / alpha[:, None]
     return market.LindahlCertificate(p=p, q=q, payoffs=alpha + c, alpha=alpha, c=c.copy())
+
+
+def damped_warm_start(C, iters, tol):
+    """The damped multiplicative ascent of `_logmax._warm_start`, recording rejections.
+
+    C is (n, m, cells).  A step raises phi_j / n to a per-cell power beta
+    and is taken only if the objective f does not fall by more than
+    1e-14 |f|; a rejected step halves beta.  Returns (lam, x, drops):
+    drops holds, for each rejected cell-step, the fall of f divided by
+    sum_i (|log x_i| + 1), the scale of f's rounding error.
+    """
+    n, m, b = C.shape
+    lam = np.full((m, b), 1.0 / m)
+    x, f = _logmax._objective(C, lam)
+    beta = np.ones(b)
+    gain = np.zeros(b)
+    drops = []
+    for it in range(iters):
+        phi = _logmax._gradients(C, x)
+        if it % 16 == 0 and it:
+            moving = gain > 1e-13 * (1.0 + np.abs(f))
+            if not (moving & (_logmax._kkt(phi, lam, n) > tol)).any():
+                break
+        cand = phi
+        cand /= n
+        cand **= beta
+        cand *= lam
+        cand /= cand.sum(axis=0)
+        xc, fc = _logmax._objective(C, cand)
+        accept = fc >= f - 1e-14 * np.abs(f)
+        scale = (np.abs(np.log(x)) + 1.0).sum(axis=0)
+        drops.extend(((f - fc) / scale)[~accept])
+        lam = np.where(accept, cand, lam)
+        x = np.where(accept, xc, x)
+        gain = np.where(accept, fc - f, 0.0)
+        f = np.where(accept, fc, f)
+        beta = np.where(accept, np.minimum(1.0, beta * 1.2), np.maximum(beta * 0.5, 1e-4))
+    return lam, x, np.array(drops)

@@ -265,3 +265,80 @@ def test_bargaining_nash_certificate_round_trip(tmp_path, capsys):
         assert code == 1
         report = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
         assert report == {"passed": False, "kkt_residual": None}
+
+
+def _reported(report):
+    return {(v["condition"], v["agent"]) for v in report["violations"]}
+
+
+@pytest.mark.parametrize(
+    "argv, forge, expected",
+    [
+        (["solve", "town.json"], {"payoffs": [9, 9], "alpha": [5, 5]},
+         {("payoffs", 0), ("payoffs", 1), ("payoff_split", 0), ("payoff_split", 1)}),
+        (["solve", "town.json"], {"alpha": [5, 0.5]}, {("payoff_split", 0)}),
+        (["solve", "town.json"], {"c": [0.0, 0.25]}, {("payoff_split", 1)}),
+        (["solve", "pair.json"], {"payoffs": [1.0, 0.5]}, {("payoffs", 1), ("payoff_split", 1)}),
+        (["match", "pair.json"], {"payoffs": [0.0, 1.0]}, {("payoffs", 0)}),
+        (["nash", "cakes.json"], {"payoffs": [0.5, 0.5]}, {("payoffs", 1)}),
+    ],
+)
+def test_verify_rejects_forged_payoffs(argv, forge, expected, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    command, name = argv
+    assert run(capsys, command, path(name), "--out", str(cert))[0] == 0
+    assert run(capsys, "verify", path(name), str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    doc.update(forge)
+    cert.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", path(name), str(cert))
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False and _reported(report) == expected
+
+
+def test_verify_rejects_forged_sweep_payoffs(tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    assert run(capsys, "solve", path("cakes.json"), "--sweep", "4", "--out", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    doc["payoffs"][0] = [9.0, 9.0]
+    doc["certificates"][-1]["alpha"][1] += 0.5
+    cert.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", path("cakes.json"), str(cert))
+    assert code == 1
+    reports = json.loads(out)["certificates"]
+    assert _reported(reports[0]) == {("listed_payoffs", 0), ("listed_payoffs", 1)}
+    assert _reported(reports[-1]) == {("payoff_split", 1)}
+    assert all(r["passed"] for r in reports[1:-1])
+
+
+def test_verify_rejects_a_forged_equitable_witness(tmp_path, capsys):
+    cert = tmp_path / "eq.json"
+    problem = path("cakes-bargaining.json")
+    assert run(capsys, "equitable", problem, "--point", "0.75,0.5", "--out", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    # The last game has the fair point (0.75, 0.5) but does not dominate B.
+    for witness in ({"scale": [100, -3], "base": [7, 7]}, {"scale": [0.25], "base": [0.5]},
+                    {"base": [0.5, 0.0]}, None, {"scale": [0.05, 0.05], "base": [0.7, 0.45]}):
+        doc["witness"] = witness
+        cert.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", problem, str(cert))
+        assert code == 1 and json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "name, point", [("cakes-bargaining.json", "5,5"), ("3person.json", "5,5,5")]
+)
+def test_verify_accepts_an_infeasible_point_certified_out(name, point, tmp_path, capsys):
+    cert = tmp_path / "eq.json"
+    assert run(capsys, "equitable", path(name), "--point", point, "--out", str(cert))[0] == 3
+    code, out, _ = run(capsys, "verify", path(name), str(cert))
+    assert code == 0
+    assert json.loads(out) == {"passed": True, "status": "non_member_certified"}
+    # A feasible member claimed out is still caught.
+    doc = json.loads(cert.read_text())
+    doc["point"] = [0.75, 0.5] if name == "cakes-bargaining.json" else [1.0, 1.0, 0.5]
+    cert.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", path(name), str(cert))
+    assert code == 1
+    assert json.loads(out) == {"passed": False, "status": "member_with_certificate"}

@@ -5,7 +5,7 @@ import pytest
 from ccm import _logmax
 from ccm import market as mk
 
-from _oracles import random_collective
+from _oracles import damped_warm_start, random_collective
 
 # Corpus problem 1 (seed 2026), shift cell 84 at 8 steps per axis.  Its
 # warm start leaves a support column at zero weight that the Newton step
@@ -28,6 +28,22 @@ def _corpus_batch(index, steps):
     reps = mk._unique_columns(P.u)
     grid = mk._shift_grid(P, steps)
     return np.maximum(P.u[:, reps][None, :, :] - grid[:, :, None], 0.0)
+
+
+def _scaled_batches(seed, count):
+    """Shift batches with zero entries, a duplicated column and per-agent scales 1e-6 to 1e6."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(2, 11))
+        u = rng.integers(0, 9, size=(n, m)) / 8.0
+        u[:, -1] = u[:, 0]
+        u[:, 0] = np.maximum(u[:, 0], 0.125)
+        shifts = rng.uniform(0, 1, size=(int(rng.integers(1, 40)), n)) * u.max(axis=1)
+        C = np.maximum(u[None] - shifts[:, :, None], 0.0)
+        C = C[(C.max(axis=2) > 0).all(axis=1)]
+        if len(C):
+            yield C * 10.0 ** rng.uniform(-6, 6, size=(1, n, 1))
 
 
 def _kkt_residual(C, lam):
@@ -115,3 +131,22 @@ def test_support_groups_equal_unique_columns(m):
             # Each group lists its cells in ascending order, as a mask would.
             assert np.array_equal(cells, np.flatnonzero(inverse.ravel() == g))
             assert np.array_equal(supp[:, cells[0]], pattern)
+
+
+def test_ascent_equals_the_damped_ascent_up_to_rounding_rejections():
+    # EM never lowers the objective, so the damping the ascent once had
+    # rejected no step on the corpus.  It did reject steps whose fall of f
+    # was rounding, where |f| is small next to its n log terms (seed 5
+    # draws such batches); the two ascents part there in the last bits.
+    scaled = list(_scaled_batches(5, 40))
+    assert {C.shape[1] for C in scaled} == {1, 2, 3, 4}
+    rejecting = []
+    for C in [_corpus_batch(0, 64), _corpus_batch(1, 8), *scaled]:
+        C = np.ascontiguousarray(C.transpose(1, 2, 0))
+        lam, x = _logmax._warm_start(C, 64, 1e-11)
+        ref_lam, ref_x, drops = damped_warm_start(C, 64, 1e-11)
+        assert drops.max(initial=0.0) <= 1e-15
+        rejecting.append(drops.size > 0)
+        if not drops.size:
+            assert np.array_equal(lam, ref_lam) and np.array_equal(x, ref_x)
+    assert not any(rejecting[:2]) and any(rejecting[2:])

@@ -193,6 +193,18 @@ class TestSweep:
             target = a + t * (b - a)
             assert np.abs(pays - target).max(axis=1).min() <= 2e-2
 
+    def test_twin_columns_reach_the_end_of_the_equitable_segment(self):
+        # At c = (0.5, 0) outcomes 1 and 2 both shift to (0, 1).  The solver
+        # splits the weight between them, and outcome 2 pays agent 0 less
+        # than c_0, so the weight moves to outcome 1.
+        certs = mk.sweep_lindahl_payoffs(CAKE_MARKET, 8)
+        (a, b), = sol.equitable_set_2d(mk.bargaining_of(CAKE_MARKET))
+        assert np.allclose(b, [0.75, 0.5], rtol=0, atol=1e-12)
+        (cert,) = [c for c in certs if np.abs(c.payoffs - b).max() <= 1e-9]
+        assert np.array_equal(cert.c, [0.5, 0.0]) and cert.q[2] == 0.0
+        assert np.allclose(cert.q, [0.5, 0.5, 0.0], rtol=0, atol=1e-12)
+        assert mk.verify_lindahl(CAKE_MARKET, cert.p, cert.q).passed
+
     def test_all_sweep_payoffs_are_equitable(self):
         rng = np.random.default_rng(25)
         for _ in range(6):
