@@ -122,17 +122,27 @@ def _newton_group(Cg, lamS):
     for _ in range(_NEWTON_ITERS):
         inv = 1.0 / x
         g = np.einsum("nsb,nb->sb", Cg, inv)
-        M = np.zeros((b, s + 1, s + 1))
-        H = M[:, :s, :s]
-        np.einsum("nsb,nb,ntb->bst", Cg, inv * inv, Cg, out=H)
-        H[:, cols, cols] += 1e-13 * (H[:, cols, cols].sum(axis=1) / s + 1.0)[:, None]
-        H *= (free[:, None, :] & free[None, :, :]).transpose(2, 0, 1)
-        H[:, cols, cols] += ~free.T
-        M[:, :s, s] = free.T
-        M[:, s, :s] = free.T
-        rhs = np.zeros((b, s + 1, 1))
-        rhs[:, :s, 0] = np.where(free, g - n, 0.0).T
-        delta = np.where(free, np.linalg.solve(M, rhs)[:, :s, 0].T, 0.0)
+        # The KKT systems are (s + 1, s + 1, b), cell index last, so every
+        # product below runs over contiguous cells; the solve reads them
+        # transposed.  H_st = sum_i C_is C_it / x_i^2, summed over agents
+        # in order, and its diagonal sum per cell in the order of a (b, s) row.
+        M = np.zeros((s + 1, s + 1, b))
+        H = M[:s, :s]
+        W = Cg * (inv * inv)[:, None, :]
+        np.multiply(W[0, :, None], Cg[0, None, :], out=H)
+        for i in range(1, n):
+            H += W[i, :, None] * Cg[i, None, :]
+        diag = M.reshape((s + 1) ** 2, b)[: s * (s + 2) : s + 2]
+        diag += 1e-13 * (diag.T.copy().sum(axis=1) / s + 1.0)
+        if not free.all():
+            H *= free[:, None, :] & free[None, :, :]
+            diag += ~free
+        M[:s, s] = free
+        M[s, :s] = free
+        rhs = np.zeros((s + 1, b))
+        rhs[:s] = np.where(free, g - n, 0.0)
+        step = np.linalg.solve(M.transpose(2, 0, 1), rhs.T[:, :, None])
+        delta = np.where(free, step[:, :s, 0].T, 0.0)
         reach = np.abs(delta).max(axis=0)
         blocked = (delta < 0) & (lamS * reach <= -1e-15 * delta)
         dropped = blocked.any(axis=0)

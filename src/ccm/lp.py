@@ -16,10 +16,12 @@ from their facets.  The consumer problem, max u.q  s.t.  p.q <= 1,
 e.q <= 1,  q >= 0, needs no LP: every consumer-side quantity comes from
 one upper concave envelope of the (price, utility) points and the
 origin.  `consumer_envelope` reads off the consumer value and the minimal
-cost among maximizers, and `shadow_prices` the supporting prices
-(c, alpha) with alpha * p >= u - c, tight on the demand's support.  One
-monotone chain, `_rising_chain`, builds that envelope and the two-agent
-Pareto frontier of `polytope`.
+cost among maximizers for one row, `consumer_envelopes` for a stack of
+rows in one call (the form every verifier uses), and `shadow_prices` the
+supporting prices (c, alpha) with alpha * p >= u - c, tight on the
+demand's support.  One monotone chain, `_rising_chain`, builds that
+envelope and the two-agent Pareto frontier of `polytope`; it sorts a
+whole stack of rows at once and walks each row's staircase in turn.
 """
 from __future__ import annotations
 
@@ -212,53 +214,73 @@ def _self_check(c, A, b, x, mu, value):
         raise LpError("strong duality violated beyond tolerance")
 
 
-def _check_consumer_inputs(u, p):
-    if u.ndim != 1 or p.shape != u.shape:
-        raise ValueError("utility and price rows must be 1-d and equal length")
-    if u.min() < 0 or p.min() < 0:
+def _check_consumer_inputs(U, P):
+    if U.ndim != 2 or P.shape != U.shape:
+        raise ValueError("utility and price stacks must be 2-d and of equal shape")
+    if (U < 0).any() or (P < 0).any():
         raise ValueError("utilities and prices must be nonnegative")
-    if u.max() <= 0:
+    if (U.max(axis=1) <= 0).any():
         raise ValueError("agent has no stake: utility row is all zeros")
 
 
-def _rising_chain(xs: np.ndarray, ys: np.ndarray) -> tuple[list[float], list[float]]:
-    """Vertices of the rising part of the upper concave envelope of the points (x, y).
+def _rising_chain(xs: np.ndarray, ys: np.ndarray):
+    """Vertices of the rising part of the upper concave envelope of each row's points.
 
+    xs and ys are (R, k) stacks; row r holds the points (xs[r, j], ys[r, j]).
     Only the Pareto staircase (each point strictly above every point left
-    of it) can lie on the rising part, so one sort, one running maximum
-    and a monotone chain (Andrew 1979) over the staircase give its
-    vertices: x increases from the leftmost point, y strictly increases,
-    and collinear middle points are dropped.  O(k log k).
+    of it) can lie on the rising part, so one sort and one running maximum
+    over the whole stack, then a monotone chain (Andrew 1979) over each
+    row's staircase, give the vertices: x increases from the leftmost
+    point, y strictly increases, and collinear middle points are dropped.
+    Yields (hx, hy) lists row by row.  O(k log k) per row.
     """
-    order = np.lexsort((-ys, xs))  # by x, the highest point first on ties
-    xs, ys = xs[order], ys[order]
-    stair = np.empty(ys.shape[0], dtype=bool)
-    stair[0] = True
-    stair[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
-    hx: list[float] = []
-    hy: list[float] = []
-    for x, y in zip(xs[stair].tolist(), ys[stair].tolist()):
-        # Drop the last vertex while it lies on or below the chord to (x, y).
-        while len(hx) >= 2 and (
-            (hx[-1] - hx[-2]) * (y - hy[-2]) >= (hy[-1] - hy[-2]) * (x - hx[-2])
-        ):
-            hx.pop()
-            hy.pop()
-        hx.append(x)
-        hy.append(y)
-    return hx, hy
+    R, k = xs.shape
+    # Each row by x, the highest point first on ties, as flat indices.
+    order = np.lexsort((-ys, xs)) + np.arange(0, R * k, k)[:, None]
+    xs, ys = xs.take(order), ys.take(order)
+    stair = np.empty((R, k), dtype=bool)
+    stair[:, 0] = True
+    stair[:, 1:] = ys[:, 1:] > np.maximum.accumulate(ys, axis=1)[:, :-1]
+    counts = stair.sum(axis=1).tolist()
+    xs, ys = xs[stair], ys[stair]
+    start = 0
+    for count in counts:
+        end = start + count
+        hx: list[float] = []
+        hy: list[float] = []
+        for x, y in zip(xs[start:end].tolist(), ys[start:end].tolist()):
+            # Drop the last vertex while it lies on or below the chord to (x, y).
+            while len(hx) >= 2 and (
+                (hx[-1] - hx[-2]) * (y - hy[-2]) >= (hy[-1] - hy[-2]) * (x - hx[-2])
+            ):
+                hx.pop()
+                hy.pop()
+            hx.append(x)
+            hy.append(y)
+        yield hx, hy
+        start = end
+
+
+def _envelopes(U, P):
+    """Vertices (costs, utilities) of each consumer's rising upper envelope.
+
+    U and P are (R, k) stacks of utility and price rows.  The consumer
+    problem is max u.q  s.t.  p.q <= 1,  e.q <= 1,  q >= 0.  Its lotteries
+    map (cost, utility) = (p.q, u.q) onto the convex hull of the points
+    (p_j, u_j) and the origin; costs increase from 0 and utilities strictly
+    increase along the chain.  The whole stack is checked before any chain
+    is built.
+    """
+    _check_consumer_inputs(U, P)
+    zero = np.zeros((U.shape[0], 1))
+    return _rising_chain(np.concatenate((zero, P), axis=1), np.concatenate((zero, U), axis=1))
 
 
 def _envelope(u, p) -> tuple[list[float], list[float]]:
-    """Vertices (costs, utilities) of the consumer's rising upper envelope.
-
-    The consumer problem is max u.q  s.t.  p.q <= 1,  e.q <= 1,  q >= 0.
-    Its lotteries map (cost, utility) = (p.q, u.q) onto the convex hull of
-    the points (p_j, u_j) and the origin; costs increase from 0 and
-    utilities strictly increase along the chain.
-    """
-    _check_consumer_inputs(u, p)
-    return _rising_chain(np.concatenate(([0.0], p)), np.concatenate(([0.0], u)))
+    """`_envelopes` of one utility row u and price row p."""
+    if u.ndim != 1 or p.shape != u.shape:
+        raise ValueError("utility and price rows must be 1-d and equal length")
+    return next(_envelopes(u[None], p[None]))
 
 
 def _peak(hx, hy) -> tuple[float, float]:
@@ -284,6 +306,22 @@ def consumer_envelope(u_i, p_i) -> tuple[float, float]:
     u = np.asarray(u_i, dtype=float)
     p = np.asarray(p_i, dtype=float)
     return _peak(*_envelope(u, p))
+
+
+def consumer_envelopes(U, P) -> tuple[np.ndarray, np.ndarray]:
+    """`consumer_envelope` of every row of the (R, k) stacks U and P, in one call.
+
+    Returns the arrays (V, minimal cost), each of length R, equal bit for
+    bit to the one-row results.  One sort covers the whole stack; only the
+    monotone chain runs row by row.
+    """
+    U = np.asarray(U, dtype=float)
+    P = np.asarray(P, dtype=float)
+    chains = _envelopes(U, P)
+    out = np.empty((2, U.shape[0]))
+    for r, chain in enumerate(chains):
+        out[:, r] = _peak(*chain)
+    return out[0], out[1]
 
 
 def shadow_prices(u_i, p_i, q):

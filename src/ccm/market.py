@@ -6,7 +6,10 @@ module verifies Lindahl equilibria, constructs them from Nash allocations
 of utility-shifted problems, sweeps the shift space to enumerate the
 payoff set, and bridges to the bargaining-set view (the feasible-payoff
 polytope and equitability witnesses).  A sweep re-verifies all its
-certificates in one batched equilibrium check, with no thread pool.
+certificates in one batched equilibrium check, with no thread pool: one
+consumer-envelope call covers every (certificate, agent) row.  Its
+first-hit payoff de-duplication compares only near pairs, found by one
+sort on the first coordinate after exact duplicates collapse.
 """
 from __future__ import annotations
 
@@ -83,6 +86,9 @@ class Verdict:
     lints: list[str] = field(default_factory=list)
 
 
+_CONSUMER_CONDITIONS = ("consumer_optimality", "budget", "minimal_cost")
+
+
 def bargaining_of(P: CollectiveProblem) -> Polytope:
     """Feasible payoff set: coco of the outcome payoff columns plus the origin."""
     cols = P.u.T
@@ -140,19 +146,45 @@ def lindahl_from_nash(P: CollectiveProblem, c, tol: float = EPS_LP) -> LindahlCe
     """Equilibrium from the Nash allocation of the shifted problem.
 
     Prices are the shifted utilities normalized by their own expected
-    value, so each agent's budget binds exactly.  Returns None when the
-    shift is inadmissible at `tol`; otherwise the certificate is
-    re-verified at `tol` before it is returned.
+    value, so each agent's budget binds exactly.  Weight on an
+    inadmissible column moves to an admissible twin as in the sweep
+    (`_admit_twins`).  Returns None when the shift is still inadmissible
+    at `tol`; otherwise the certificate is re-verified at `tol` before it
+    is returned.
     """
     c = np.array(c, dtype=float)
-    q = nash_allocation(shifted_utilities(P, c))
-    if not admissible(P, c, q, tol):
+    shifted = shifted_utilities(P, c)
+    q = nash_allocation(shifted)[None]
+    if not _admit_twins(P.u, c[None], shifted.u[None], q, tol)[0]:
         return None
-    (cert,), _ = _certificates(P, c[None], q[None])
+    (cert,), _ = _certificates(P, c[None], q)
     verdict = verify_lindahl(P, cert.p, cert.q, tol)
     if not verdict.passed:  # pragma: no cover - the construction is exact
         raise lp.LpError(f"constructed equilibrium failed verification: {verdict.violations}")
     return cert
+
+
+def _admit_twins(U, C, S, Q, tol: float) -> np.ndarray:
+    """Which of K shifts are admissible, after moving weight onto admissible twins.
+
+    U is (n, m), the shifts C are (K, n), the shifted utilities S are
+    (K, n, m) and the lotteries Q are (K, m).  A supported column that
+    gives some agent less than c_i - tol is inadmissible, but the solver
+    splits weight between twins (columns identical after the shift): its
+    weight moves, in place in Q, to the first twin that gives no agent
+    less, if there is one.  Payoffs and alpha stay as they are.  Returns
+    a length-K mask of the shifts whose support is then admissible.
+    """
+    below = (U[None, :, :] < C[:, :, None] - tol).any(axis=1)
+    bad = (Q > EPS_SUPP) & below
+    b, j = np.nonzero(bad)
+    twins = (S[b] == S[b, :, j][:, :, None]).all(axis=1) & ~below[b]
+    found = twins.any(axis=1)
+    b, j = b[found], j[found]
+    np.add.at(Q, (b, twins[found].argmax(axis=1)), Q[b, j])
+    Q[b, j] = 0.0
+    bad[b, j] = False
+    return ~bad.any(axis=1)
 
 
 def _certificates(P, C, Q) -> tuple[list[LindahlCertificate], np.ndarray]:
@@ -170,24 +202,26 @@ def consumer_violations(U, P, X, tol: float, scale: float) -> list[Violation]:
     agent i: the demand X[i] attains the consumer value of (U[i], P[i]),
     respects the budget, and is minimal cost among optima.  An agent with
     no stake gains nothing from spending, so any cost above the tolerance
-    is a minimal-cost violation.
+    is a minimal-cost violation.  One `lp.consumer_envelopes` call serves
+    every agent with a stake.  Violations are ordered by agent, then by
+    condition.
     """
-    violations: list[Violation] = []
-    for i, (u, p, x, stake) in enumerate(zip(U, P, X, U.max(axis=1) > 0)):
-        value = float(u @ x)
-        cost = float(p @ x)
-        if stake:
-            best, min_cost = lp.consumer_envelope(u, p)
-            cost_slack = 10 * tol * scale
-        else:
-            best, min_cost, cost_slack = value, 0.0, tol * scale
-        if best - value > tol * scale:
-            violations.append(Violation("consumer_optimality", i, best - value))
-        if cost - 1.0 > tol * scale:
-            violations.append(Violation("budget", i, cost - 1.0))
-        if cost - min_cost > cost_slack:
-            violations.append(Violation("minimal_cost", i, cost - min_cost))
-    return violations
+    U = np.asarray(U, dtype=float)
+    P = np.asarray(P, dtype=float)
+    X = np.asarray(X, dtype=float)
+    value = np.matmul(U[:, None, :], X[:, :, None])[:, 0, 0]
+    cost = np.matmul(P[:, None, :], X[:, :, None])[:, 0, 0]
+    stake = U.max(axis=1) > 0
+    best, min_cost = value.copy(), np.zeros(len(U))
+    best[stake], min_cost[stake] = lp.consumer_envelopes(U[stake], P[stake])
+    gaps = np.stack([best - value, cost - 1.0, cost - min_cost], axis=1)
+    over = gaps > tol * scale
+    over[:, 2] = gaps[:, 2] > np.where(stake, 10 * tol * scale, tol * scale)
+    rows, conds = np.nonzero(over)
+    return [
+        Violation(_CONSUMER_CONDITIONS[j], i, float(gaps[i, j]))
+        for i, j in zip(rows.tolist(), conds.tolist())
+    ]
 
 
 def verify_lindahl(P: CollectiveProblem, p, q, tol: float = EPS_LP) -> Verdict:
@@ -234,18 +268,38 @@ def _shift_grid(P: CollectiveProblem, steps: int) -> np.ndarray:
 
 
 def _first_hits(payoffs: np.ndarray, tol: float) -> list[int]:
-    """Rows kept by first-hit de-duplication in the max norm.
+    """Rows kept by first-hit de-duplication in the max norm, in row order.
 
-    A row is kept when no earlier kept row lies within `tol` of it.  Each
-    pass keeps the earliest live row and drops every row within `tol` of
-    it, so the cost is one vectorized test per kept row.
+    A row is kept when no earlier kept row lies within `tol` of it.  A
+    row's fate depends only on the earlier kept rows, and exact duplicates
+    share every distance, so each distinct row stands for its first
+    occurrence and only rows with a neighbour within `tol` need the
+    ordered pass.  Sorted on coordinate 0, every such pair shows up at
+    some offset d, and the offsets stop at the first d where no two rows
+    are within `tol` in that coordinate.  The pairs are then walked in
+    order of their earlier row: a pair drops its later row while its
+    earlier row is kept.
     """
-    rows = np.arange(len(payoffs))
-    kept: list[int] = []
-    while rows.size:
-        kept.append(int(rows[0]))
-        rows = rows[np.abs(payoffs[rows] - payoffs[rows[0]]).max(axis=1) > tol]
-    return kept
+    if not len(payoffs):
+        return []
+    rows, first = np.unique(payoffs, axis=0, return_index=True)  # lexicographic order
+    earlier, later = [], []
+    for d in range(1, len(rows)):
+        gap = np.abs(rows[d:] - rows[:-d])
+        if not (gap[:, 0] <= tol).any():
+            break
+        near = np.nonzero(gap.max(axis=1) <= tol)[0]
+        a, b = first[near], first[near + d]
+        earlier.append(np.minimum(a, b))
+        later.append(np.maximum(a, b))
+    kept = set(first.tolist())
+    if earlier:
+        earlier, later = np.concatenate(earlier), np.concatenate(later)
+        order = np.lexsort((later, earlier))
+        for e, r in zip(earlier[order].tolist(), later[order].tolist()):
+            if e in kept:
+                kept.discard(r)
+    return sorted(kept)
 
 
 def sweep_lindahl_payoffs(
@@ -265,21 +319,7 @@ def sweep_lindahl_payoffs(
     Ured = P.u[:, reps]
     shifted = np.maximum(Ured[None, :, :] - grid[:, :, None], 0.0)
     lam, _, _ = maximize_log_sum_batch(shifted, tol=1e-11)
-
-    # A supported column that gives some agent less than c_i - tol is
-    # inadmissible, but the solver splits weight between twins (columns
-    # identical after the shift): its weight moves to a twin that gives no
-    # agent less, if there is one.  Payoffs and alpha stay as they are.
-    below = (Ured[None, :, :] < grid[:, :, None] - tol).any(axis=1)
-    bad = (lam > EPS_SUPP) & below
-    b, j = np.nonzero(bad)
-    twins = (shifted[b] == shifted[b, :, j][:, :, None]).all(axis=1) & ~below[b]
-    found = twins.any(axis=1)
-    b, j = b[found], j[found]
-    np.add.at(lam, (b, twins[found].argmax(axis=1)), lam[b, j])
-    lam[b, j] = 0.0
-    bad[b, j] = False
-    live = np.nonzero(~bad.any(axis=1))[0]
+    live = np.nonzero(_admit_twins(Ured, grid, shifted, lam, tol))[0]
     payoffs = (np.matmul(shifted, lam[:, :, None])[:, :, 0] + grid)[live]
     kept = live[_first_hits(payoffs, PAYOFF_DEDUP)]
 

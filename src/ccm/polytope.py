@@ -124,7 +124,7 @@ def _frontier_chain(G: np.ndarray) -> np.ndarray:
     strictly decreasing.  Collinear middle points are dropped.  Exact: no
     tolerance shapes the chain.
     """
-    hx, hy = lp._rising_chain(-G[:, 0], G[:, 1])
+    hx, hy = next(lp._rising_chain(-G[None, :, 0], G[None, :, 1]))
     return np.column_stack([np.negative(hx), hy])[::-1]
 
 

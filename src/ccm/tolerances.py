@@ -1,8 +1,14 @@
 """Numerical tolerances shared across the package.
 
-All defaults are calibrated for inputs of magnitude at most 1e3.  Every
-predicate that uses one of these constants also accepts a per-call
-override.
+All defaults are calibrated for inputs of magnitude at most 1e3.  Two of
+them take a per-call override: `EPS_GEOM` through the `tol` argument of
+the polytope and equitability predicates (`contains`, `dominates`,
+`equitable_contains`, ...), and `EPS_LP` through the `tol` argument of
+the equilibrium verifiers and constructors (`verify_lindahl`,
+`lindahl_from_nash`, `sweep_lindahl_payoffs`, ...) and through
+`ccm solve --tol` and `ccm verify --tol`.  `EPS_OPT`, `EPS_SUPP`,
+`PAYOFF_DEDUP` and `DEDUP_SIG_DIGITS` are fixed: no public function takes
+an override for them.
 """
 
 # Geometric predicates on polytopes (membership, domination, efficiency).

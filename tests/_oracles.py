@@ -23,6 +23,14 @@ chain.
 The log-welfare solver's ascent has its old damped form here
 (`damped_warm_start`), which takes a step only if it does not lower the
 objective and records the steps it rejects; the library takes every step.
+Its Newton steps have their einsum-assembled form here (`newton_group`);
+the library assembles the same KKT systems in contiguous arrays.
+
+The consumer envelope has its one-row form here (`rising_chain_row`,
+`consumer_envelope_row`): one sort and one monotone chain per row, where
+the library sorts a whole stack of rows at once.  Sweep de-duplication
+has its quadratic first-hit loop here (`first_hits_loop`), one vector pass
+per kept row, where the library compares near pairs only.
 
 The matching and exchange conversions have loop forms here that walk
 the matchings (or goods) one agent at a time; the library computes the
@@ -95,7 +103,9 @@ def consumer_problem(u_i, p_i) -> ConsumerOptimum:
     """
     u = np.asarray(u_i, dtype=float)
     p = np.asarray(p_i, dtype=float)
-    lp._check_consumer_inputs(u, p)
+    if u.ndim != 1 or p.shape != u.shape:
+        raise ValueError("utility and price rows must be 1-d and equal length")
+    lp._check_consumer_inputs(u[None], p[None])
     A = np.vstack([p, np.ones_like(u)])
     sol = lp.solve(u, A, np.ones(2))
     if sol.status != lp.OPTIMAL:  # pragma: no cover - always feasible and bounded
@@ -420,3 +430,97 @@ def damped_warm_start(C, iters, tol):
         f = np.where(accept, fc, f)
         beta = np.where(accept, np.minimum(1.0, beta * 1.2), np.maximum(beta * 0.5, 1e-4))
     return lam, x, np.array(drops)
+
+
+def rising_chain_row(xs, ys):
+    """The rising chain of one row of points, sorted and walked on its own."""
+    order = np.lexsort((-ys, xs))
+    xs, ys = xs[order], ys[order]
+    stair = np.empty(ys.shape[0], dtype=bool)
+    stair[0] = True
+    stair[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
+    hx, hy = [], []
+    for x, y in zip(xs[stair].tolist(), ys[stair].tolist()):
+        while len(hx) >= 2 and (
+            (hx[-1] - hx[-2]) * (y - hy[-2]) >= (hy[-1] - hy[-2]) * (x - hx[-2])
+        ):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
+    return hx, hy
+
+
+def consumer_envelope_row(u, p):
+    """(V, minimal cost) of one consumer row through `rising_chain_row`."""
+    u = np.asarray(u, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return lp._peak(*rising_chain_row(np.concatenate(([0.0], p)), np.concatenate(([0.0], u))))
+
+
+def first_hits_loop(payoffs, tol):
+    """First-hit de-duplication in the max norm, one vector pass per kept row."""
+    rows = np.arange(len(payoffs))
+    kept = []
+    while rows.size:
+        kept.append(int(rows[0]))
+        rows = rows[np.abs(payoffs[rows] - payoffs[rows[0]]).max(axis=1) > tol]
+    return kept
+
+
+def newton_group(Cg, lamS):
+    """`_logmax._newton_group` with its KKT systems assembled by a 3-operand einsum
+    into a strided view, and the working set applied by masks at every step."""
+    n, s, b = Cg.shape
+    cols = np.arange(s)
+    rep = (Cg[:, :, None, :] == Cg[:, None, :, :]).all(axis=0).argmax(axis=1)
+    member = rep[:, None, :] == cols[None, :, None]
+    merged = np.einsum("trb,tb->rb", member, lamS)
+    held = np.take_along_axis(merged, rep, axis=0)
+    size = np.take_along_axis(member.sum(axis=0), rep, axis=0)
+    share = np.where(held > 0, lamS / np.where(held > 0, held, 1.0), 1.0 / size)
+    lamS = merged
+    free = rep == cols[:, None]
+    x, f = _logmax._objective(Cg, lamS)
+    for _ in range(_logmax._NEWTON_ITERS):
+        inv = 1.0 / x
+        g = np.einsum("nsb,nb->sb", Cg, inv)
+        M = np.zeros((b, s + 1, s + 1))
+        H = M[:, :s, :s]
+        np.einsum("nsb,nb,ntb->bst", Cg, inv * inv, Cg, out=H)
+        H[:, cols, cols] += 1e-13 * (H[:, cols, cols].sum(axis=1) / s + 1.0)[:, None]
+        H *= (free[:, None, :] & free[None, :, :]).transpose(2, 0, 1)
+        H[:, cols, cols] += ~free.T
+        M[:, :s, s] = free.T
+        M[:, s, :s] = free.T
+        rhs = np.zeros((b, s + 1, 1))
+        rhs[:, :s, 0] = np.where(free, g - n, 0.0).T
+        delta = np.where(free, np.linalg.solve(M, rhs)[:, :s, 0].T, 0.0)
+        reach = np.abs(delta).max(axis=0)
+        blocked = (delta < 0) & (lamS * reach <= -1e-15 * delta)
+        dropped = blocked.any(axis=0)
+        if dropped.any():
+            free &= ~blocked
+            lamS = np.where(blocked, 0.0, lamS)
+            lamS = np.where(dropped, lamS / lamS.sum(axis=0), lamS)
+            x, f = _logmax._objective(Cg, lamS)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(delta < 0, -lamS / np.where(delta < 0, delta, -1.0), np.inf)
+        alpha = np.minimum(1.0, ratios.min(axis=0))
+        moved = ~dropped & (reach * alpha > 1e-15)
+        if not (moved | dropped).any():
+            break
+        slack = 1e-14 * (np.abs(np.log(x)).sum(axis=0) + n)
+        for _ in range(45):
+            cand = np.maximum(lamS + alpha * delta, 0.0)
+            cand /= cand.sum(axis=0)
+            xc, fc = _logmax._objective(Cg, cand)
+            worse = moved & (fc < f - slack)
+            if not worse.any():
+                break
+            alpha = np.where(worse, alpha * 0.5, alpha)
+            moved &= alpha > 1e-18
+        lamS = np.where(moved, cand, lamS)
+        x = np.where(moved, xc, x)
+        f = np.where(moved, fc, f)
+    return np.take_along_axis(lamS, rep, axis=0) * share

@@ -223,6 +223,21 @@ def test_inadmissible_shift_exit_code(capsys):
     assert "inadmissible" in json.loads(err)["error"]
 
 
+def test_solve_at_a_shift_reached_through_a_twin(tmp_path, capsys):
+    # Corpus problem 12 (seed 2026); see test_market's twin tests.
+    problem = tmp_path / "p12.json"
+    problem.write_text(json.dumps({
+        "type": "collective",
+        "utilities": [["0.375", "0.125", "0.75", "0.5", "1"], ["1", "0.875", "1", "0.625", "0.25"]],
+    }))
+    cert = tmp_path / "cert.json"
+    code, _, err = run(capsys, "solve", str(problem), "--c", "0.75,0", "--out", str(cert))
+    assert code == 0, err
+    assert json.loads(cert.read_text())["q"][0] == 0.0
+    code, out, _ = run(capsys, "verify", str(problem), str(cert))
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 def test_sweep_certificate_round_trip(tmp_path, capsys):
     cert = tmp_path / "c.json"
     code, _, _ = run(capsys, "solve", path("town.json"), "--sweep", "4", "--out", str(cert))

@@ -5,7 +5,7 @@ import pytest
 from ccm import _logmax
 from ccm import market as mk
 
-from _oracles import damped_warm_start, random_collective
+from _oracles import damped_warm_start, newton_group, random_collective
 
 # Corpus problem 1 (seed 2026), shift cell 84 at 8 steps per axis.  Its
 # warm start leaves a support column at zero weight that the Newton step
@@ -150,3 +150,46 @@ def test_ascent_equals_the_damped_ascent_up_to_rounding_rejections():
         if not drops.size:
             assert np.array_equal(lam, ref_lam) and np.array_equal(x, ref_x)
     assert not any(rejecting[:2]) and any(rejecting[2:])
+
+
+def _same_newton(Cg, lamS, newton=_logmax._newton_group):
+    out = newton(Cg, lamS.copy())
+    ref = newton_group(Cg, lamS.copy())
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    return out
+
+
+def test_newton_assembly_equals_the_einsum_assembly_on_corpus_sweeps(monkeypatch):
+    groups = []
+
+    def checked(Cg, lamS):
+        groups.append(Cg.shape)
+        return _same_newton(Cg, lamS)
+
+    monkeypatch.setattr(_logmax, "_newton_group", checked)
+    rng = np.random.default_rng(2026)
+    for t in range(12):
+        n = 2 if t % 2 == 0 else 3
+        mk.sweep_lindahl_payoffs(mk.CollectiveProblem(random_collective(rng, n=n)), 64 if n == 2 else 8)
+    monkeypatch.undo()
+    assert len(groups) > 40 and max(s for _, s, _ in groups) >= 4
+
+
+def test_newton_assembly_equals_the_einsum_assembly_on_random_batches():
+    # Supports of 1 to 12 columns (the diagonal sum runs unrolled from 9),
+    # columns that coincide within a cell, and columns at zero weight that
+    # block the step.
+    rng = np.random.default_rng(14)
+    dropped = 0
+    for _ in range(60):
+        n, s, b = int(rng.integers(1, 5)), int(rng.integers(1, 13)), int(rng.integers(1, 60))
+        Cg = rng.integers(0, 9, size=(n, s, b)) / 8.0
+        Cg[:, 0] = np.maximum(Cg[:, 0], 0.125)
+        if s > 2:
+            Cg[:, -1] = Cg[:, 1]
+        lamS = rng.uniform(0, 1, size=(s, b)) * (rng.random((s, b)) > 0.3)
+        lamS[0] += 0.01
+        lamS /= lamS.sum(axis=0)
+        out = _same_newton(Cg * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1)), lamS)
+        dropped += int(((lamS > 0) & (out == 0)).sum())
+    assert dropped > 0

@@ -5,6 +5,7 @@ from ccm import lp
 from ccm import market as mk
 
 from _oracles import (
+    consumer_envelope_row,
     consumer_lp_path,
     consumer_problem,
     lp_scipy,
@@ -136,6 +137,67 @@ def _dyadic_row(rng, k, kind):
     else:
         p = np.zeros(k)
     return u, p
+
+
+def _corpus_consumer_rows(count):
+    """Per corpus problem, the (utility, price) rows of every (certificate, agent) of its sweep."""
+    rng = np.random.default_rng(2026)
+    for t in range(count):
+        n = 2 if t % 2 == 0 else 3
+        M = mk.CollectiveProblem(random_collective(rng, n=n))
+        certs = mk.sweep_lindahl_payoffs(M, 64 if n == 2 else 8)
+        yield np.tile(M.u, (len(certs), 1)), np.concatenate([c.p for c in certs])
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestBatchedEnvelope:
+    """`lp.consumer_envelopes` against the one-row sort and chain of `_oracles`."""
+
+    def _check(self, U, P):
+        values, costs = lp.consumer_envelopes(U, P)
+        expect = np.array([consumer_envelope_row(u, p) for u, p in zip(U, P)])
+        assert _same_bits(values, expect[:, 0]) and _same_bits(costs, expect[:, 1])
+        for u, p, e in zip(U, P, expect):
+            assert _same_bits(lp.consumer_envelope(u, p), e)
+
+    def test_corpus_sweep_rows(self):
+        rows = 0
+        for U, P in _corpus_consumer_rows(40):
+            self._check(U, P)
+            rows += len(U)
+        assert rows > 6000
+
+    def test_random_rows_with_ties_zero_prices_and_duplicates(self):
+        rng = np.random.default_rng(33)
+        for k in (1, 2, 3, 5, 8, 40):
+            U = rng.integers(0, 5, size=(300, k)) / 4.0
+            P = rng.integers(0, 5, size=(300, k)) / 4.0 * (rng.random((300, k)) > 0.3)
+            dup = rng.integers(0, k, size=300)
+            U[:, -1], P[:, -1] = U[np.arange(300), dup], P[np.arange(300), dup]
+            U[U.max(axis=1) == 0, 0] = 1.0
+            self._check(U, P)
+        U = rng.uniform(0, 1, size=(500, 6))
+        self._check(U, U / rng.uniform(0.2, 2.0, size=(500, 1)))
+
+    def test_empty_stack(self):
+        values, costs = lp.consumer_envelopes(np.zeros((0, 3)), np.zeros((0, 3)))
+        assert values.shape == costs.shape == (0,)
+
+    def test_rejects_bad_stacks(self):
+        U = np.ones((3, 2))
+        with pytest.raises(ValueError, match="no stake"):
+            lp.consumer_envelopes(np.array([[1.0, 0.0], [0.0, 0.0]]), U[:2])
+        with pytest.raises(ValueError, match="nonnegative"):
+            lp.consumer_envelopes(U, np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            lp.consumer_envelopes(-U, U)
+        with pytest.raises(ValueError, match="equal shape"):
+            lp.consumer_envelopes(U, U[:2])
+        with pytest.raises(ValueError, match="2-d"):
+            lp.consumer_envelopes(U[0], U[0])
 
 
 class TestConsumerEnvelope:

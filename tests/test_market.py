@@ -6,7 +6,7 @@ from ccm import market as mk
 from ccm import polytope as pt
 from ccm import solutions as sol
 
-from _oracles import nash_allocation_grid_1d, random_collective, shift_certificate
+from _oracles import first_hits_loop, nash_allocation_grid_1d, random_collective, shift_certificate
 
 TOWN = mk.CollectiveProblem([[1, 0], [0, 1]])
 CAKE_MARKET = mk.CollectiveProblem([[1, 0.5, 0], [0, 1, 1]])
@@ -205,6 +205,20 @@ class TestSweep:
         assert np.allclose(cert.q, [0.5, 0.5, 0.0], rtol=0, atol=1e-12)
         assert mk.verify_lindahl(CAKE_MARKET, cert.p, cert.q).passed
 
+    @pytest.mark.parametrize("c1", [0.0, 0.125, 0.25])
+    def test_lindahl_from_nash_moves_weight_onto_an_admissible_twin(self, c1):
+        # Corpus problem 12 (seed 2026): at c = (0.75, c1) outcomes 0 and 2
+        # both shift to (0, 1 - c1), and outcome 0 pays agent 0 less than c_0.
+        P = mk.CollectiveProblem(
+            [[0.375, 0.125, 0.75, 0.5, 1.0], [1.0, 0.875, 1.0, 0.625, 0.25]]
+        )
+        cert = mk.lindahl_from_nash(P, [0.75, c1])
+        assert cert is not None and cert.q[0] == 0.0 and cert.q[2] > 0
+        assert mk.verify_lindahl(P, cert.p, cert.q).passed
+        assert mk.admissible(P, cert.c, cert.q)
+        sweep = np.array([c.payoffs for c in mk.sweep_lindahl_payoffs(P, 64)])
+        assert np.abs(sweep - cert.payoffs).max(axis=1).min() <= mk.PAYOFF_DEDUP
+
     def test_all_sweep_payoffs_are_equitable(self):
         rng = np.random.default_rng(25)
         for _ in range(6):
@@ -329,6 +343,57 @@ def test_first_hit_dedup_matches_the_pairwise_loop():
                 expect.append(r)
         assert mk._first_hits(pays, 1e-6) == expect
     assert mk._first_hits(np.empty((0, 2)), 1e-6) == []
+
+
+@pytest.mark.parametrize(
+    "rows, expect",
+    [
+        # a ~ b ~ c with a not within tol of c: b goes with a, c stays.
+        ([[0, 0], [0.6e-6, 0], [1.2e-6, 0]], [0, 2]),
+        # The middle row first: it takes both ends.
+        ([[0.6e-6, 0], [0, 0], [1.2e-6, 0]], [0]),
+        # Chained in the second coordinate only.
+        ([[1, 0], [1, 0.7e-6], [1, 1.4e-6], [1, 2.1e-6]], [0, 2]),
+        # Exact duplicates, of a kept row and of a dropped row.
+        ([[1, 2], [1, 2], [1, 2 + 0.5e-6], [1, 2 + 0.5e-6], [1, 2]], [0]),
+        ([[3, 3]], [0]),
+    ],
+    ids=["chain", "middle_first", "second_coordinate", "duplicates", "one_row"],
+)
+def test_first_hits_cases(rows, expect):
+    rows = np.array(rows, dtype=float)
+    assert first_hits_loop(rows, 1e-6) == expect
+    assert mk._first_hits(rows, 1e-6) == expect
+
+
+def test_first_hits_on_a_vertical_edge():
+    # Many rows share coordinate 0, as on a vertical frontier edge, so near
+    # pairs show up at large offsets of the sort.
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        rows = np.zeros((200, 2))
+        rows[:, 0] = rng.integers(0, 3, size=200) * 0.5
+        rows[:, 1] = np.cumsum(rng.uniform(0, 1e-6, size=200)) * rng.choice([1, -1])
+        rows = rows[rng.permutation(200)]
+        assert mk._first_hits(rows, 1e-6) == first_hits_loop(rows, 1e-6)
+
+
+def test_first_hits_equal_the_loop_on_corpus_sweeps(monkeypatch):
+    first_hits = mk._first_hits
+    seen = []
+
+    def checked(payoffs, tol):
+        kept = first_hits(payoffs, tol)
+        assert kept == first_hits_loop(payoffs, tol)
+        seen.append(len(payoffs) - len(kept))
+        return kept
+
+    monkeypatch.setattr(mk, "_first_hits", checked)
+    rng = np.random.default_rng(2026)
+    for t in range(200):
+        n = 2 if t % 2 == 0 else 3
+        mk.sweep_lindahl_payoffs(mk.CollectiveProblem(random_collective(rng, n=n)), 64 if n == 2 else 8)
+    assert len(seen) == 200 and sum(seen) > 0
 
 
 def test_sweep_is_byte_deterministic():

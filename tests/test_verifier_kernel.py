@@ -1,8 +1,8 @@
 """The verifiers' closed-form consumer kernel against the LP path.
 
 Each case runs a verifier twice on the same input: as shipped, and with
-`lp.consumer_envelope` replaced by the tableau LP path kept in
-tests/_oracles.py.  Both runs must give the same `passed` flag and the
+the batched kernel `lp.consumer_envelopes` replaced by a row loop over
+the tableau LP path kept in tests/_oracles.py.  Both runs must give the same `passed` flag and the
 same set of (condition, agent) pairs.  Cases are sweep certificates of
 corpus problems, the certificates `ccm solve` writes for the fixtures,
 and copies of both with one agent's prices doubled.
@@ -31,9 +31,19 @@ def _summary(verdict):
 def _same_verdict(verify, *args):
     """The shipped verdict summary, after checking it against the LP path's."""
     shipped = _summary(verify(*args))
+    calls = []
+
+    def lp_rows(U, P):
+        """`lp.consumer_envelopes` as a row loop over the LP path."""
+        calls.append(len(U))
+        rows = [consumer_lp_path(u, p) for u, p in zip(U, P)]
+        value, cost = np.array(rows, dtype=float).reshape(-1, 2).T
+        return value, cost
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "consumer_envelope", consumer_lp_path)
+        mp.setattr(lp, "consumer_envelopes", lp_rows)
         oracle = _summary(verify(*args))
+    assert calls, "the verifier never reached the consumer kernel"
     assert shipped == oracle
     return shipped
 
