@@ -25,7 +25,9 @@ The method has two phases, and convergence is decided per cell:
   at the default cap, gathering the unfinished cells into a smaller
   batch cost more than the steps it saved.
 * Newton rounds.  Every cell gets at least one, because a cell that met
-  the tolerance in the ascent still has errors of that size in C lam.  Cells that share a support pattern solve as one stacked call.
+  the tolerance in the ascent still has errors of that size in C lam.
+  Cells that share a support pattern solve as one stacked call; a
+  support of one column takes no step, since lam = 1 is exact there.
   The Newton steps are a primal active-set method and finish a cell from
   any start: a support column at zero weight that would block the step
   leaves the working set and the cell re-solves on the rest, and columns
@@ -195,11 +197,6 @@ def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
         raise ValueError("columns must be nonnegative")
     if np.any(C.max(axis=2) <= 0):
         raise ValueError("every agent row needs a positive entry")
-    if m == 1:
-        lam = np.ones((b, 1))
-        _, f = _objective(C.transpose(1, 2, 0), lam.T)
-        return lam, f, np.zeros(b)
-
     C = np.ascontiguousarray(C.transpose(1, 2, 0))
     lam, x = _warm_start(C, warm_iters, tol)
     # Every cell gets at least one Newton round: a cell that met `tol` in
@@ -213,6 +210,11 @@ def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
         for group in _support_groups(supp):
             S = np.nonzero(supp[:, group[0]])[0]
             members = todo[group]
+            if S.size == 1:
+                # One column: lam = 1 is exact, and Newton would return it.
+                lam[:, members] = 0.0
+                lam[S, members] = 1.0
+                continue
             # Slices bound the memory of the stacked Newton systems.
             for cells in np.array_split(members, -(-members.size // _NEWTON_SLICE)):
                 lamS = lam[np.ix_(S, cells)]

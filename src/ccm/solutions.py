@@ -2,13 +2,17 @@
 
 The equitable set of a bargaining polytope B collects the points that are
 the fair outcome of some simplex game dominating B.  Membership is
-decided exactly: writing the candidate witness as A = n*(x-c) (x) Delta + c
-and substituting t_i = 1/(x_i - c_i) turns witness existence into a
-piecewise-linear feasibility problem, solved here by one LP.  For two
-agents the frontier characterization (Pareto efficiency plus midpoint
-domination) is used instead and doubles as an independent cross-check;
-its witness reads the supporting normal off B's cached facets, which
-two-agent sets have at every size, so no two-agent path runs an LP.  The
+decided exactly: writing the candidate witness as A = n*(x-c) (x) Delta + c,
+a simplex game dominates B iff every generator meets its 2^n - 1 subset
+inequalities (the game's facets).  In coordinates normalized by x - d
+(x -> 1, d -> 0) and with tau_i = (x_i - d_i)/(x_i - c_i), those rows are
+linear in tau, so witness existence is one LP in n + 1 variables over the
+maximal generators and the subsets that can bind.  Its input does not
+depend on per-agent scale.  For two agents the frontier characterization
+(Pareto efficiency plus midpoint domination) is used instead and doubles
+as an independent cross-check; its witness reads the supporting normal
+off B's cached facets, which two-agent sets have at every size, so no
+two-agent path runs an LP.  The
 n >= 3 witness LP is the only LP on the equitability path (apart from
 sets too large for a facet pass, see `polytope.FACET_SUBSET_LIMIT`).
 Every verdict is exact: a member with a re-validated certificate, or a
@@ -31,6 +35,7 @@ from .polytope import (
     Polytope,
     SimplexGame,
     _frontier_chain,
+    _maximal_rows,
     _tight_normals,
     as_point,
     contains,
@@ -130,43 +135,39 @@ def _two_agent_witness(B: Polytope, x: np.ndarray) -> SimplexGame:
 
 
 def _witness_lp(B: Polytope, x: np.ndarray, tol: float):
-    """Exact witness feasibility via t_i = 1/(x_i - c_i).
+    """Exact witness feasibility as one scale-free LP in n + 1 variables.
 
-    A dominating simplex game with fair point x exists iff there are
-    t_i >= 1/(x_i - d_i) with, for every generator y,
-    sum_i max((y_i - x_i) t_i + 1, 0) <= n.  Minimizing the worst
-    violation is one LP; the optimum decides membership exactly and its
-    t recovers the witness translation c = x - 1/t.
+    In coordinates normalized by x - d (x -> 1, d -> 0), let Y hold the
+    maximal generators and tau_i = (x_i - d_i) / (x_i - c_i) >= 1 for a
+    witness base c.  The simplex game with fair point x and base c
+    dominates B iff every row Y_g meets the subset inequalities
+    sum_{i in S} a_gi <= n, a_gi = (Y_gi - 1) tau_i + 1, over the nonempty
+    S (they are the game's facets).  Only these rows can bind:
+
+    * maximal generators: a dominated generator has a smaller a_gi in
+      every coordinate;
+    * S holding every i with Y_gi >= 1, since then a_gi >= 1;
+    * S holding no i with Y_gi <= 0, since then a_gi <= 0 (tau >= 1).
+
+    With variables (tau - 1, v) >= 0, minimize v subject to
+    sum_{i in S} (Y_gi - 1)(tau_i - 1) - v <= n - sum_{i in S} Y_gi.
+    The optimal v, the worst excess over n, is dimensionless, so x is a
+    member iff v <= tol * n.  The witness base is
+    c = d + (x - d)(tau - 1)/tau; tau = 1 gives c = d exactly.
     """
-    G = B.generators
-    m, n = G.shape
+    n = B.dim
     d = B.disagreement
-    tmin = 1.0 / (x - d)
-    # Variables: (t' (n), s (m*n), v): minimize v == maximize -v.
-    nv = n + m * n + 1
-    rows = []
-    rhs = []
-    for g_idx in range(m):
-        y = G[g_idx]
-        for i in range(n):
-            row = np.zeros(nv)
-            row[i] = y[i] - x[i]
-            row[n + g_idx * n + i] = -1.0
-            rows.append(row)
-            rhs.append(-1.0 - (y[i] - x[i]) * tmin[i])
-        row = np.zeros(nv)
-        row[n + g_idx * n : n + (g_idx + 1) * n] = 1.0
-        row[-1] = -1.0
-        rows.append(row)
-        rhs.append(float(n))
-    c_obj = np.zeros(nv)
-    c_obj[-1] = -1.0
-    sol = lp.solve(c_obj, np.vstack(rows), np.array(rhs))
+    Y = (_maximal_rows(B.generators) - d) / (x - d)
+    S = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    keep = ((S >= (Y >= 1.0)[:, None]) & ~(S & (Y <= 0.0)[:, None])).all(axis=2)
+    g, s = np.nonzero(keep)
+    YS = np.where(S[s], Y[g], 0.0)
+    A = np.column_stack([YS - S[s], -np.ones(len(g))])
+    sol = lp.solve(np.r_[np.zeros(n), -1.0], A, n - YS.sum(axis=1))
     if sol.status != lp.OPTIMAL:  # pragma: no cover - always feasible and bounded
         raise lp.LpError(f"witness LP reported {sol.status}")
-    violation = float(sol.primal[-1])
-    t = tmin + sol.primal[:n]
-    c = x - 1.0 / t
+    tau1, violation = sol.primal[:n], float(sol.primal[n])
+    c = d + (x - d) * (tau1 / (1.0 + tau1))
     return violation <= tol * n, np.maximum(c, d), violation
 
 

@@ -32,6 +32,11 @@ the library sorts a whole stack of rows at once.  Sweep de-duplication
 has its quadratic first-hit loop here (`first_hits_loop`), one vector pass
 per kept row, where the library compares near pairs only.
 
+The n >= 3 equitability witness LP has its slack-variable form here
+(`witness_lp_slack`): raw payoff units, one slack per (generator, agent)
+for the positive parts.  The library writes the same LP as subset rows
+over the maximal generators, normalized by x - d, in n + 1 variables.
+
 The matching and exchange conversions have loop forms here that walk
 the matchings (or goods) one agent at a time; the library computes the
 same arrays as gathers and scatters over a stored index.
@@ -524,3 +529,42 @@ def newton_group(Cg, lamS):
         x = np.where(moved, xc, x)
         f = np.where(moved, fc, f)
     return np.take_along_axis(lamS, rep, axis=0) * share
+
+
+def witness_lp_slack(B, x, tol):
+    """The witness LP in raw payoff units, with one slack variable per (generator, agent).
+
+    Variables (t - 1/(x - d), s, v) >= 0: minimize v subject to
+    s_gi >= (y_gi - x_i) t_i + 1 and sum_i s_gi - v <= n for every
+    generator y_g, so sum_i s_gi models sum_i max((y_gi - x_i) t_i + 1, 0).
+    Returns (feasible, c, v) like `solutions._witness_lp`.
+    """
+    G = B.generators
+    m, n = G.shape
+    d = B.disagreement
+    tmin = 1.0 / (x - d)
+    nv = n + m * n + 1
+    rows = []
+    rhs = []
+    for g_idx in range(m):
+        y = G[g_idx]
+        for i in range(n):
+            row = np.zeros(nv)
+            row[i] = y[i] - x[i]
+            row[n + g_idx * n + i] = -1.0
+            rows.append(row)
+            rhs.append(-1.0 - (y[i] - x[i]) * tmin[i])
+        row = np.zeros(nv)
+        row[n + g_idx * n : n + (g_idx + 1) * n] = 1.0
+        row[-1] = -1.0
+        rows.append(row)
+        rhs.append(float(n))
+    c_obj = np.zeros(nv)
+    c_obj[-1] = -1.0
+    sol = lp.solve(c_obj, np.vstack(rows), np.array(rhs))
+    if sol.status != lp.OPTIMAL:
+        raise lp.LpError(f"witness LP reported {sol.status}")
+    violation = float(sol.primal[-1])
+    t = tmin + sol.primal[:n]
+    c = x - 1.0 / t
+    return violation <= tol * n, np.maximum(c, d), violation

@@ -113,6 +113,42 @@ def test_residual_within_tolerance_on_random_batches(warm_iters):
     assert seen_single and seen_duplicate
 
 
+def test_one_column_supports_skip_newton(monkeypatch):
+    sizes = []
+    newton = _logmax._newton_group
+
+    def recorded(Cg, lamS):
+        sizes.append(Cg.shape[1])
+        return newton(Cg, lamS)
+
+    monkeypatch.setattr(_logmax, "_newton_group", recorded)
+    C = _corpus_batch(3, 8)
+    lam, _, resid = _logmax.maximize_log_sum_batch(C)
+    single = np.flatnonzero((lam != 0).sum(axis=1) == 1)
+    assert len(single) > 100 and min(sizes) >= 2
+    assert resid.max() <= 1e-11
+    # Given the one column, Newton would have returned lam = 1 exactly.
+    for cell in single[::16]:
+        j = np.flatnonzero(lam[cell])
+        assert lam[cell, j] == 1.0
+        assert newton(C[cell][:, j, None], np.ones((1, 1))) == 1.0
+
+
+def test_one_outcome_batches_take_the_one_column_rule():
+    # lam and value as the special case for m = 1 once gave them; its
+    # residual was a literal zero, and the computed one is rounding.
+    rng = np.random.default_rng(0)
+    for C in (
+        rng.uniform(0.01, 50, (500, 3, 1)),
+        rng.integers(1, 9, (200, 2, 1)) / 8.0,
+        np.exp(rng.uniform(-14, 14, (300, 4, 1))),
+    ):
+        lam, value, resid = _logmax.maximize_log_sum_batch(C)
+        assert np.array_equal(lam, np.ones((len(C), 1)))
+        assert np.array_equal(value, np.log(C[:, :, 0].T).sum(axis=0))
+        assert resid.min() >= 0 and resid.max() <= 1e-15
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
 def test_support_groups_equal_unique_columns(m):
     rng = np.random.default_rng(m)
@@ -168,7 +204,8 @@ def test_newton_assembly_equals_the_einsum_assembly_on_corpus_sweeps(monkeypatch
 
     monkeypatch.setattr(_logmax, "_newton_group", checked)
     rng = np.random.default_rng(2026)
-    for t in range(12):
+    # One-column supports skip Newton, so 13 problems reach over 40 groups.
+    for t in range(13):
         n = 2 if t % 2 == 0 else 3
         mk.sweep_lindahl_payoffs(mk.CollectiveProblem(random_collective(rng, n=n)), 64 if n == 2 else 8)
     monkeypatch.undo()

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ccm import market as mk
 from ccm import polytope as pt
 from ccm import solutions as sol
+from ccm.tolerances import EPS_GEOM
 
 from _oracles import (
     nash_point_grid_2d,
+    random_collective,
     random_normalized_polytope,
     witness_grid_search,
+    witness_lp_slack,
 )
 
 UNIT_SIMPLEX = pt.coco_hull([[0, 0], [1, 0], [0, 1]])
@@ -228,3 +233,157 @@ def test_three_by_four_lindahl_payoff_is_a_member():
     )
     cert = mk.lindahl_from_nash(P, np.zeros(3))
     assert sol.equitable_contains(mk.bargaining_of(P), cert.payoffs).status == sol.MEMBER
+
+
+def _reaches_witness_lp(B, x, tol=EPS_GEOM):
+    """The screens `equitable_contains` runs before its n >= 3 witness LP."""
+    return (
+        np.all(x - B.disagreement > tol)
+        and np.all(x >= sol.random_dictator_point(B) - tol)
+        and pt.is_pareto_efficient(B, x, tol)
+    )
+
+
+def _corpus_three_agent(every=4):
+    """Every `every`-th three-agent problem among the first 100 of the seed-2026 corpus."""
+    rng = np.random.default_rng(2026)
+    out = []
+    for t in range(100):
+        u = random_collective(rng, n=2 if t % 2 == 0 else 3)
+        if t % 2 == 1 and (t // 2) % every == 0:
+            out.append(mk.CollectiveProblem(u))
+    return out
+
+
+def _witness_queries():
+    """(B, x) pairs that reach the witness LP: sweep payoffs and their consecutive
+    midpoints, efficient convex combinations of 1-3 maximal generators, and the
+    Nash points of random sets with 4 to 6 agents."""
+    pick = np.random.default_rng(1)
+    for P in _corpus_three_agent():
+        B = mk.bargaining_of(P)
+        pay = np.array([c.payoffs for c in mk.sweep_lindahl_payoffs(P, 8)])
+        V = pt._maximal_rows(B.generators)
+        mixes = []
+        for _ in range(20):
+            idx = pick.choice(len(V), size=min(int(pick.integers(1, 4)), len(V)), replace=False)
+            mixes.append(pick.dirichlet(np.ones(len(idx))) @ V[idx])
+        for x in [*pay, *(0.5 * (pay[1:] + pay[:-1])), *mixes]:
+            yield B, x
+    sets = np.random.default_rng(5)
+    for n in (4, 5, 6):
+        for _ in range(8):
+            B = pt.Polytope(random_normalized_polytope(sets, n=n, max_vertices=8))
+            if B.full_dimensional:
+                yield B, sol.nash_solution(B)
+
+
+class TestWitnessLp:
+    def test_equals_the_slack_variable_lp(self):
+        counts = {True: 0, False: 0}
+        dims = set()
+        for B, x in _witness_queries():
+            if not _reaches_witness_lp(B, x):
+                continue
+            ok, c, v = sol._witness_lp(B, x, EPS_GEOM)
+            ok_ref, _, v_ref = witness_lp_slack(B, x, EPS_GEOM)
+            assert ok == ok_ref
+            assert abs(v - v_ref) <= 1e-12
+            if ok:
+                cert = sol._certify(B, x, pt.SimplexGame(x - c, c), EPS_GEOM)
+                assert sol.validate_certificate(B, x, cert)
+            counts[ok] += 1
+            dims.add(B.dim)
+        assert counts[True] > 1000 and counts[False] > 50
+        assert dims == {3, 4, 5, 6}
+
+    def test_has_one_variable_per_agent_and_one_for_the_excess(self, monkeypatch):
+        seen = []
+        real = sol.lp.solve
+
+        def spy(c, A, b):
+            seen.append(np.shape(A))
+            return real(c, A, b)
+
+        monkeypatch.setattr(sol.lp, "solve", spy)
+        v = sol.equitable_contains(THREE_PERSON, [1.0, 1.0, 0.5])
+        assert v.is_member
+        # In units of x - d = (1, 1, .5) the maximal generators are
+        # (1/3, 1/3, 2), which puts agent 2 in every S and leaves 0 and 1
+        # free (4 rows), and (1, 1, 1), which puts every agent in S (1 row).
+        assert seen == [(5, 4)]
+        # The excess is zero at tau = 1 already, where the base is d exactly.
+        assert np.array_equal(v.certificate.witness.base, np.zeros(3))
+
+
+def _corpus_25_payoff():
+    rng = np.random.default_rng(2026)
+    for t in range(26):
+        u = random_collective(rng, n=2 if t % 2 == 0 else 3)
+    P = mk.CollectiveProblem(u)
+    return mk.bargaining_of(P), mk.lindahl_from_nash(P, np.array([0.25, 0.0, 0.25])).payoffs
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-10, 1e-9])
+def test_perturbed_corpus_25_payoffs_are_certified_members(eps):
+    # The slack-variable witness LP raised "phase 1 reported unbounded" on
+    # 1, 9 and 7 of these draws.
+    B, x0 = _corpus_25_payoff()
+    assert np.allclose(x0, [0.70814563, 0.67703641, 0.73981797], atol=1e-8)
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        x = x0 + rng.uniform(-eps, eps, 3)
+        v = sol.equitable_contains(B, x)
+        assert v.is_member
+        assert sol.validate_certificate(B, x, v.certificate)
+
+
+@pytest.mark.parametrize("base", [1e5, 1e6])
+def test_scaled_sweep_payoffs_are_certified_members(base):
+    # The slack-variable witness LP raised on 36 and 69 of these 331
+    # payoffs, mostly "primal feasibility lost after pivoting".
+    problems = np.random.default_rng(11)
+    scales = np.random.default_rng(12)
+    checked = 0
+    for _ in range(30):
+        u = random_collective(problems, n=3) * np.exp(scales.uniform(-2, 2, (3, 1))) * base
+        P = mk.CollectiveProblem(u)
+        B = mk.bargaining_of(P)
+        for cert in mk.sweep_lindahl_payoffs(P, 6):
+            v = sol.equitable_contains(B, cert.payoffs)
+            assert v.is_member
+            assert sol.validate_certificate(B, cert.payoffs, v.certificate)
+            checked += 1
+    assert checked == 331
+
+
+@st.composite
+def _affinely_mapped_sets(draw):
+    n = draw(st.sampled_from([3, 4]))
+    m = draw(st.integers(n, 7))
+    cell = st.integers(1, 16)
+    pts = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    gens = np.vstack([np.array(pts, dtype=float) / 8.0, np.zeros(n)])
+    log_a = draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n))
+    shift = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    a = 10.0 ** np.array(log_a)
+    # The translation is in each agent's own units: a translation far above
+    # an agent's spread would round its payoffs away at any precision.
+    return gens, a, a * np.array(shift)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(_affinely_mapped_sets())
+def test_witness_lp_is_invariant_under_per_agent_affine_maps(case):
+    gens, a, z = case
+    B = pt.Polytope(gens)
+    assume(B.full_dimensional)
+    mapped = pt.Polytope(gens * a + z)
+    x = sol.nash_solution(B)
+    points = [x] + [g for g in pt._maximal_rows(gens) if _reaches_witness_lp(B, g)]
+    for y in points:
+        ok, _, v = sol._witness_lp(B, y, EPS_GEOM)
+        ok_mapped, _, v_mapped = sol._witness_lp(mapped, a * y + z, EPS_GEOM)
+        assert ok_mapped == ok
+        assert abs(v_mapped - v) <= 1e-9
+    assert sol._witness_lp(B, x, EPS_GEOM)[0]
