@@ -211,7 +211,6 @@ def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
             S = np.nonzero(supp[:, group[0]])[0]
             members = todo[group]
             if S.size == 1:
-                # One column: lam = 1 is exact, and Newton would return it.
                 lam[:, members] = 0.0
                 lam[S, members] = 1.0
                 continue

@@ -2,19 +2,16 @@
 
 The equitable set of a bargaining polytope B collects the points that are
 the fair outcome of some simplex game dominating B.  Membership is
-decided exactly: writing the candidate witness as A = n*(x-c) (x) Delta + c,
-a simplex game dominates B iff every generator meets its 2^n - 1 subset
-inequalities (the game's facets).  In coordinates normalized by x - d
-(x -> 1, d -> 0) and with tau_i = (x_i - d_i)/(x_i - c_i), those rows are
-linear in tau, so witness existence is one LP in n + 1 variables over the
-maximal generators and the subsets that can bind.  Its input does not
-depend on per-agent scale.  For two agents the frontier characterization
-(Pareto efficiency plus midpoint domination) is used instead and doubles
-as an independent cross-check; its witness reads the supporting normal
-off B's cached facets, which two-agent sets have at every size, so no
-two-agent path runs an LP.  The
-n >= 3 witness LP is the only LP on the equitability path (apart from
-sets too large for a facet pass, see `polytope.FACET_SUBSET_LIMIT`).
+decided exactly: witness existence is one LP in n + 1 variables over the
+witness game's subset inequalities (its facets), written in coordinates
+normalized by x - d, so its input does not depend on per-agent scale.
+For two agents the frontier characterization (Pareto efficiency plus
+midpoint domination) is used instead and doubles as an independent
+cross-check; its witness reads the supporting normal off B's cached
+facets, which two-agent sets have at every size, so no two-agent path
+runs an LP.  The n >= 3 witness LP is the only LP on the equitability
+path (apart from sets too large for a facet pass, see
+`polytope.FACET_SUBSET_LIMIT`).
 Every verdict is exact: a member with a re-validated certificate, or a
 certified non-member.
 

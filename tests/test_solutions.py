@@ -244,23 +244,18 @@ def _reaches_witness_lp(B, x, tol=EPS_GEOM):
     )
 
 
-def _corpus_three_agent(every=4):
-    """Every `every`-th three-agent problem among the first 100 of the seed-2026 corpus."""
-    rng = np.random.default_rng(2026)
-    out = []
-    for t in range(100):
-        u = random_collective(rng, n=2 if t % 2 == 0 else 3)
-        if t % 2 == 1 and (t // 2) % every == 0:
-            out.append(mk.CollectiveProblem(u))
-    return out
-
-
 def _witness_queries():
-    """(B, x) pairs that reach the witness LP: sweep payoffs and their consecutive
-    midpoints, efficient convex combinations of 1-3 maximal generators, and the
-    Nash points of random sets with 4 to 6 agents."""
+    """(B, x) pairs: on every fourth three-agent problem among the first 100 of
+    the seed-2026 corpus, the sweep payoffs, their consecutive midpoints and
+    convex combinations of 1-3 maximal generators; and the Nash points of
+    random sets with 4 to 6 agents."""
+    corpus = np.random.default_rng(2026)
     pick = np.random.default_rng(1)
-    for P in _corpus_three_agent():
+    for t in range(100):
+        u = random_collective(corpus, n=2 if t % 2 == 0 else 3)
+        if t % 8 != 1:
+            continue
+        P = mk.CollectiveProblem(u)
         B = mk.bargaining_of(P)
         pay = np.array([c.payoffs for c in mk.sweep_lindahl_payoffs(P, 8)])
         V = pt._maximal_rows(B.generators)
