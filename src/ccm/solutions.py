@@ -135,35 +135,45 @@ def _witness_lp(B: Polytope, x: np.ndarray, tol: float):
     """Exact witness feasibility as one scale-free LP in n + 1 variables.
 
     In coordinates normalized by x - d (x -> 1, d -> 0), let Y hold the
-    maximal generators and tau_i = (x_i - d_i) / (x_i - c_i) >= 1 for a
-    witness base c.  The simplex game with fair point x and base c
-    dominates B iff every row Y_g meets the subset inequalities
-    sum_{i in S} a_gi <= n, a_gi = (Y_gi - 1) tau_i + 1, over the nonempty
-    S (they are the game's facets).  Only these rows can bind:
-
-    * maximal generators: a dominated generator has a smaller a_gi in
-      every coordinate;
-    * S holding every i with Y_gi >= 1, since then a_gi >= 1;
-    * S holding no i with Y_gi <= 0, since then a_gi <= 0 (tau >= 1).
-
-    With variables (tau - 1, v) >= 0, minimize v subject to
-    sum_{i in S} (Y_gi - 1)(tau_i - 1) - v <= n - sum_{i in S} Y_gi.
-    The optimal v, the worst excess over n, is dimensionless, so x is a
-    member iff v <= tol * n.  The witness base is
-    c = d + (x - d)(tau - 1)/tau; tau = 1 gives c = d exactly.
+    maximal generators (a dominated one has a smaller a_gi in every
+    coordinate) and tau_i = (x_i - d_i)/(x_i - c_i) >= 1 for a witness
+    base c.  The simplex game with fair point x and base c dominates B iff
+    sum_{i in S} a_gi <= n, a_gi = (Y_gi - 1) tau_i + 1, for every g and
+    nonempty S (the game's facets); minimize v, the worst excess over n.
+    Rows are generated, as there are up to 2^n per generator: at the
+    current tau (first tau = 1), g's most violated S is {i : a_gi > 0},
+    and it joins if its excess exceeds v over the rows in.  Each LP is a
+    relaxation, so v is optimal once none joins; a joining row exceeds
+    every row in, so none joins twice.  The LP, in (tau - 1, w) >= 0 with
+    w = v0 - v and v0 the rows' worst excess at tau = 1, maximizes w
+    subject to sum_{i in S} (Y_gi - 1)(tau_i - 1) + w <= v0 + n -
+    sum_{i in S} Y_gi and w <= v0; 0 is feasible, so no phase 1 runs.
+    v is dimensionless, so x is a member iff v <= tol * n.  The base is
+    c = d + (x - d)(tau - 1)/tau, exactly d at tau = 1.
     """
     n = B.dim
     d = B.disagreement
     Y = (_maximal_rows(B.generators) - d) / (x - d)
-    S = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    keep = ((S >= (Y >= 1.0)[:, None]) & ~(S & (Y <= 0.0)[:, None])).all(axis=2)
-    g, s = np.nonzero(keep)
-    YS = np.where(S[s], Y[g], 0.0)
-    A = np.column_stack([YS - S[s], -np.ones(len(g))])
-    sol = lp.solve(np.r_[np.zeros(n), -1.0], A, n - YS.sum(axis=1))
-    if sol.status != lp.OPTIMAL:  # pragma: no cover - always feasible and bounded
-        raise lp.LpError(f"witness LP reported {sol.status}")
-    tau1, violation = sol.primal[:n], float(sol.primal[n])
+    g = np.zeros(0, dtype=np.int64)
+    S = np.zeros((0, n), dtype=bool)
+    tau1 = np.zeros(n)
+    while True:
+        a = (Y - 1.0) * tau1 + Y
+        violation = float(np.max(np.where(S, a[g], 0.0).sum(axis=1) - n, initial=0.0))
+        worst = a > 0.0
+        fresh = np.where(worst, a, 0.0).sum(axis=1) - n > violation
+        if not fresh.any():
+            break
+        g = np.r_[g, np.flatnonzero(fresh)]
+        S = np.vstack([S, worst[fresh]])
+        YS = np.where(S, Y[g], 0.0)
+        b = n - YS.sum(axis=1)
+        v0 = max(0.0, -b.min())
+        A = np.vstack([np.column_stack([YS - S, np.ones(len(g))]), np.eye(n + 1)[n]])
+        sol = lp.solve(np.eye(n + 1)[n], A, np.r_[b + v0, v0])
+        if sol.status != lp.OPTIMAL:  # pragma: no cover - 0 is feasible, w <= v0
+            raise lp.LpError(f"witness LP reported {sol.status}")
+        tau1 = sol.primal[:n]
     c = d + (x - d) * (tau1 / (1.0 + tau1))
     return violation <= tol * n, np.maximum(c, d), violation
 

@@ -35,7 +35,8 @@ per kept row, where the library compares near pairs only.
 The n >= 3 equitability witness LP has its slack-variable form here
 (`witness_lp_slack`): raw payoff units, one slack per (generator, agent)
 for the positive parts.  The library writes the same LP as subset rows
-over the maximal generators, normalized by x - d, in n + 1 variables.
+over the maximal generators, normalized by x - d, in n + 1 variables,
+and generates only the rows it needs.
 
 The matching and exchange conversions have loop forms here that walk
 the matchings (or goods) one agent at a time; the library computes the
@@ -50,7 +51,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ccm import _logmax, lp
-from ccm import market
+from ccm import market, polytope, solutions
 from ccm.tolerances import EPS_GEOM
 
 
@@ -529,6 +530,15 @@ def newton_group(Cg, lamS):
         x = np.where(moved, xc, x)
         f = np.where(moved, fc, f)
     return np.take_along_axis(lamS, rep, axis=0) * share
+
+
+def reaches_witness_lp(B, x, tol=EPS_GEOM):
+    """The screens `solutions.equitable_contains` runs before its n >= 3 witness LP."""
+    return (
+        np.all(x - B.disagreement > tol)
+        and np.all(x >= solutions.random_dictator_point(B) - tol)
+        and polytope.is_pareto_efficient(B, x, tol)
+    )
 
 
 def witness_lp_slack(B, x, tol):

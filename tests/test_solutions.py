@@ -1,7 +1,7 @@
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from ccm import market as mk
 from ccm import polytope as pt
@@ -12,6 +12,7 @@ from _oracles import (
     nash_point_grid_2d,
     random_collective,
     random_normalized_polytope,
+    reaches_witness_lp,
     witness_grid_search,
     witness_lp_slack,
 )
@@ -235,20 +236,11 @@ def test_three_by_four_lindahl_payoff_is_a_member():
     assert sol.equitable_contains(mk.bargaining_of(P), cert.payoffs).status == sol.MEMBER
 
 
-def _reaches_witness_lp(B, x, tol=EPS_GEOM):
-    """The screens `equitable_contains` runs before its n >= 3 witness LP."""
-    return (
-        np.all(x - B.disagreement > tol)
-        and np.all(x >= sol.random_dictator_point(B) - tol)
-        and pt.is_pareto_efficient(B, x, tol)
-    )
-
-
 def _witness_queries():
     """(B, x) pairs: on every fourth three-agent problem among the first 100 of
     the seed-2026 corpus, the sweep payoffs, their consecutive midpoints and
-    convex combinations of 1-3 maximal generators; and the Nash points of
-    random sets with 4 to 6 agents."""
+    convex combinations of 1-3 maximal generators; and the Nash points and
+    four such combinations of random sets with 4 to 6 agents."""
     corpus = np.random.default_rng(2026)
     pick = np.random.default_rng(1)
     for t in range(100):
@@ -258,12 +250,7 @@ def _witness_queries():
         P = mk.CollectiveProblem(u)
         B = mk.bargaining_of(P)
         pay = np.array([c.payoffs for c in mk.sweep_lindahl_payoffs(P, 8)])
-        V = pt._maximal_rows(B.generators)
-        mixes = []
-        for _ in range(20):
-            idx = pick.choice(len(V), size=min(int(pick.integers(1, 4)), len(V)), replace=False)
-            mixes.append(pick.dirichlet(np.ones(len(idx))) @ V[idx])
-        for x in [*pay, *(0.5 * (pay[1:] + pay[:-1])), *mixes]:
+        for x in [*pay, *(0.5 * (pay[1:] + pay[:-1])), *_frontier_mixes(B, pick, 20)]:
             yield B, x
     sets = np.random.default_rng(5)
     for n in (4, 5, 6):
@@ -271,16 +258,43 @@ def _witness_queries():
             B = pt.Polytope(random_normalized_polytope(sets, n=n, max_vertices=8))
             if B.full_dimensional:
                 yield B, sol.nash_solution(B)
+                yield from ((B, x) for x in _frontier_mixes(B, pick, 4))
+
+
+def _frontier_mixes(B, rng, count):
+    """Convex combinations of 1-3 maximal generators of B."""
+    V = pt._maximal_rows(B.generators)
+    for _ in range(count):
+        idx = rng.choice(len(V), size=min(int(rng.integers(1, 4)), len(V)), replace=False)
+        yield rng.dirichlet(np.ones(len(idx))) @ V[idx]
+
+
+def _spy_witness_lps(monkeypatch):
+    """Record the shape of every LP that `_witness_lp` solves."""
+    shapes = []
+    real = sol.lp.solve
+
+    def spy(c, A, b):
+        if sys._getframe(1).f_code.co_name == "_witness_lp":
+            shapes.append(np.shape(A))
+        return real(c, A, b)
+
+    monkeypatch.setattr(sol.lp, "solve", spy)
+    return shapes
 
 
 class TestWitnessLp:
-    def test_equals_the_slack_variable_lp(self):
+    def test_equals_the_slack_variable_lp(self, monkeypatch):
+        shapes = _spy_witness_lps(monkeypatch)
         counts = {True: 0, False: 0}
-        dims = set()
+        lps = {}
         for B, x in _witness_queries():
-            if not _reaches_witness_lp(B, x):
+            if not reaches_witness_lp(B, x):
                 continue
+            before = len(shapes)
             ok, c, v = sol._witness_lp(B, x, EPS_GEOM)
+            lps[B.dim] = lps.get(B.dim, 0) + len(shapes) - before
+            assert all(cols == B.dim + 1 for _, cols in shapes[before:])
             ok_ref, _, v_ref = witness_lp_slack(B, x, EPS_GEOM)
             assert ok == ok_ref
             assert abs(v - v_ref) <= 1e-12
@@ -288,27 +302,49 @@ class TestWitnessLp:
                 cert = sol._certify(B, x, pt.SimplexGame(x - c, c), EPS_GEOM)
                 assert sol.validate_certificate(B, x, cert)
             counts[ok] += 1
-            dims.add(B.dim)
         assert counts[True] > 1000 and counts[False] > 50
-        assert dims == {3, 4, 5, 6}
+        assert sorted(lps) == [3, 4, 5, 6] and min(lps.values()) > 0
 
-    def test_has_one_variable_per_agent_and_one_for_the_excess(self, monkeypatch):
-        seen = []
-        real = sol.lp.solve
-
-        def spy(c, A, b):
-            seen.append(np.shape(A))
-            return real(c, A, b)
-
-        monkeypatch.setattr(sol.lp, "solve", spy)
+    def test_rows_join_until_every_subset_holds(self, monkeypatch):
+        shapes = _spy_witness_lps(monkeypatch)
+        # At the Nash point (1, 1, .5) every subset row holds at tau = 1:
+        # no LP runs, and the base is d exactly.
         v = sol.equitable_contains(THREE_PERSON, [1.0, 1.0, 0.5])
-        assert v.is_member
-        # In units of x - d = (1, 1, .5) the maximal generators are
-        # (1/3, 1/3, 2), which puts agent 2 in every S and leaves 0 and 1
-        # free (4 rows), and (1, 1, 1), which puts every agent in S (1 row).
-        assert seen == [(5, 4)]
-        # The excess is zero at tau = 1 already, where the base is d exactly.
+        assert v.is_member and shapes == []
         assert np.array_equal(v.certificate.witness.base, np.zeros(3))
+        # In units of x - d = (5/6, 5/6, 5/8) the maximal generators are
+        # (1.2, 1.2, .8) and (.4, .4, 1.6).  At tau = 1 only the first
+        # exceeds n, by .2 over S = {0, 1, 2}; the LP raises tau_2, which
+        # pushes the second over n, so its row joins in a second round.
+        # Each LP has n + 1 columns and one row more than it has subsets.
+        x = [5 / 6, 5 / 6, 5 / 8]
+        v = sol.equitable_contains(THREE_PERSON, x)
+        assert v.is_member and shapes == [(2, 4), (3, 4)]
+        assert sol.validate_certificate(THREE_PERSON, x, v.certificate)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_rows_stay_few_at_many_agents(self, n, monkeypatch):
+        # Enumerated, the subset rows that can bind would number 776-2160
+        # per query at n = 10 and 1273-7552 at n = 12.  Generated, they
+        # stay below the slack-variable LP's m (n + 1) rows over the m
+        # maximal generators.
+        B = pt.Polytope(random_normalized_polytope(np.random.default_rng(5), n=n, max_vertices=3 * n))
+        m = len(pt._maximal_rows(B.generators))
+        mixes = _frontier_mixes(B, np.random.default_rng(1), 60)
+        queries = [x for x in mixes if reaches_witness_lp(B, x)][:8]
+        assert len(queries) == 8
+        shapes = _spy_witness_lps(monkeypatch)
+        members = 0
+        for x in [sol.nash_solution(B), *queries]:
+            ok, c, v = sol._witness_lp(B, x, EPS_GEOM)
+            ok_ref, _, v_ref = witness_lp_slack(B, x, EPS_GEOM)
+            assert ok == ok_ref and abs(v - v_ref) <= 1e-12
+            if ok:
+                cert = sol._certify(B, x, pt.SimplexGame(x - c, c), EPS_GEOM)
+                assert sol.validate_certificate(B, x, cert)
+                members += 1
+        assert members >= 1 and shapes
+        assert all(rows <= m * (n + 1) and cols == n + 1 for rows, cols in shapes)
 
 
 def _corpus_25_payoff():
@@ -350,35 +386,3 @@ def test_scaled_sweep_payoffs_are_certified_members(base):
             assert sol.validate_certificate(B, cert.payoffs, v.certificate)
             checked += 1
     assert checked == 331
-
-
-@st.composite
-def _affinely_mapped_sets(draw):
-    n = draw(st.sampled_from([3, 4]))
-    m = draw(st.integers(n, 7))
-    cell = st.integers(1, 16)
-    pts = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
-    gens = np.vstack([np.array(pts, dtype=float) / 8.0, np.zeros(n)])
-    log_a = draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n))
-    shift = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
-    a = 10.0 ** np.array(log_a)
-    # The translation is in each agent's own units: a translation far above
-    # an agent's spread would round its payoffs away at any precision.
-    return gens, a, a * np.array(shift)
-
-
-@settings(derandomize=True, deadline=None, max_examples=50, database=None)
-@given(_affinely_mapped_sets())
-def test_witness_lp_is_invariant_under_per_agent_affine_maps(case):
-    gens, a, z = case
-    B = pt.Polytope(gens)
-    assume(B.full_dimensional)
-    mapped = pt.Polytope(gens * a + z)
-    x = sol.nash_solution(B)
-    points = [x] + [g for g in pt._maximal_rows(gens) if _reaches_witness_lp(B, g)]
-    for y in points:
-        ok, _, v = sol._witness_lp(B, y, EPS_GEOM)
-        ok_mapped, _, v_mapped = sol._witness_lp(mapped, a * y + z, EPS_GEOM)
-        assert ok_mapped == ok
-        assert abs(v_mapped - v) <= 1e-9
-    assert sol._witness_lp(B, x, EPS_GEOM)[0]
