@@ -1,23 +1,25 @@
 """Small dense linear programming with primal and dual solutions.
 
-Canonical form:  maximize c.x  subject to  A x <= b,  x >= 0.
+Canonical form:  maximize c.x  subject to  A x <= b,  x >= 0,  with b >= 0.
 
-The solver is a two-phase tableau simplex with Bland's anti-cycling rule
-and dense storage.  Instances in this package are desk scale (at most a
-few thousand variables, a handful of rows), so robustness and exact dual
-extraction matter more than speed.  Rows and the objective are scaled by
-powers of two before solving, which conditions pivots without introducing
-any rounding of its own.
+b >= 0 makes the origin a feasible vertex, so the solver is a one-phase
+tableau simplex started at the slack basis, with Bland's anti-cycling
+rule and dense storage.  Rows and the objective are scaled by powers of
+two before solving, which conditions pivots without introducing any
+rounding of its own.
 
-The solver serves the equitability witness LP of `solutions` (three or
-more agents) and the polytope queries on sets of three or more agents too
-large for a facet pass (`polytope.FACET_SUBSET_LIMIT`); other sets answer
-from their facets.  The consumer problem, max u.q  s.t.  p.q <= 1,
-e.q <= 1,  q >= 0, needs no LP: every consumer-side quantity comes from
-one upper concave envelope of the (price, utility) points and the
-origin.  `consumer_envelope` reads off the consumer value and the minimal
-cost among maximizers for one row, `consumer_envelopes` for a stack of
-rows in one call (the form every verifier uses), and `shadow_prices` the
+Every caller writes its LP over normals: n + 1 variables (a normal, or
+the witness game's scales, and one margin w), few rows, and the origin
+feasible.  They are the equitability witness LP of `solutions` (three or
+more agents) and the domination-slack and efficiency LPs of `polytope`
+for sets of three or more agents too large for a facet pass
+(`polytope.FACET_SUBSET_LIMIT`); other sets answer from their facets.
+The consumer problem, max u.q  s.t.  p.q <= 1,  e.q <= 1,  q >= 0, needs
+no LP: every consumer-side quantity comes from one upper concave
+envelope of the (price, utility) points and the origin.
+`consumer_envelope` reads off the consumer value and the minimal cost
+among maximizers for one row, `consumer_envelopes` for a stack of rows
+in one call (the form every verifier uses), and `shadow_prices` the
 supporting prices (c, alpha) with alpha * p >= u - c, tight on the
 demand's support.  One monotone chain, `_rising_chain`, builds that
 envelope and the two-agent Pareto frontier of `polytope`; it sorts a
@@ -36,7 +38,6 @@ _PIVOT_TOL = 1e-11
 _RATIO_TIE = 1e-12
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -96,9 +97,12 @@ def _run_simplex(T, basis, eligible, max_iter):
 
 
 def solve(c, A, b) -> LpSolution:
-    """maximize c.x  s.t.  A x <= b,  x >= 0.
+    """maximize c.x  s.t.  A x <= b,  x >= 0,  for b >= 0.
 
-    Deterministic: identical inputs yield identical output.
+    The origin is feasible, so one simplex phase runs from the slack basis;
+    a negative entry of b raises ValueError.  The status is OPTIMAL, with
+    primal, dual and objective value checked against each other, or
+    UNBOUNDED.  Deterministic: identical inputs yield identical output.
     """
     c0 = np.asarray(c, dtype=float)
     A0 = np.asarray(A, dtype=float)
@@ -110,6 +114,8 @@ def solve(c, A, b) -> LpSolution:
         raise ValueError("bad LP shapes")
     if not (np.isfinite(A0).all() and np.isfinite(b0).all() and np.isfinite(c0).all()):
         raise ValueError("LP entries must be finite")
+    if (b0 < 0).any():
+        raise ValueError("b must be nonnegative, so that the origin is feasible")
 
     # Power-of-two equilibration; exact in binary floating point.
     row_mag = np.maximum(np.abs(A0).max(axis=1), np.abs(b0))
@@ -121,61 +127,19 @@ def solve(c, A, b) -> LpSolution:
     b = b0 / row_scale
     c = c0 / c_scale
 
-    flip = b < 0
-    n_art = int(flip.sum())
-    ncols = m + r + n_art
-
-    T = np.zeros((r + 1, ncols + 1))
-    T[:r, :m] = np.where(flip[:, None], -A, A)
-    T[:r, m : m + r] = np.diag(np.where(flip, -1.0, 1.0))
-    T[:r, -1] = np.where(flip, -b, b)
-    basis = np.empty(r, dtype=np.int64)
-    art_col = m + r
-    for i in range(r):
-        if flip[i]:
-            T[i, art_col] = 1.0
-            basis[i] = art_col
-            art_col += 1
-        else:
-            basis[i] = m + i
-
-    max_iter = 10_000 + 30 * (m + r)
-    eligible = range(m + r)
-
-    if n_art:
-        # Phase 1: maximize minus the sum of artificials.
-        T[-1, :] = 0.0
-        for i in range(r):
-            if basis[i] >= m + r:
-                T[-1] += T[i]
-        T[-1, m + r : -1] = 0.0
-        try:
-            _run_simplex(T, basis, eligible, max_iter)
-        except _Unbounded as exc:  # pragma: no cover - phase 1 is bounded
-            raise LpError("phase 1 reported unbounded") from exc
-        if T[-1, -1] > 1e-8:
-            return LpSolution(INFEASIBLE, None, None, None)
-        # Drive leftover zero-level artificials out of the basis.
-        for i in range(r):
-            if basis[i] >= m + r:
-                row = T[i, : m + r]
-                cols = np.nonzero(np.abs(row) > 1e-9)[0]
-                if cols.size:
-                    _pivot(T, basis, i, int(cols[0]))
-
-    # Phase 2 objective row: reduced costs of c under the current basis.
-    T[-1, :] = 0.0
+    # The slack basis is feasible, and its reduced costs are c itself.
+    T = np.zeros((r + 1, m + r + 1))
+    T[:r, :m] = A
+    T[:r, m:-1] = np.eye(r)
+    T[:r, -1] = b
     T[-1, :m] = c
-    for i in range(r):
-        j = basis[i]
-        if T[-1, j] != 0.0:
-            T[-1] -= T[-1, j] * T[i]
+    basis = np.arange(m, m + r)
     try:
-        _run_simplex(T, basis, eligible, max_iter)
+        _run_simplex(T, basis, range(m + r), 10_000 + 30 * (m + r))
     except _Unbounded:
         return LpSolution(UNBOUNDED, None, None, None)
 
-    x = np.zeros(ncols)
+    x = np.zeros(m + r)
     x[basis] = T[:r, -1]
     primal = x[:m].copy()
 
@@ -187,10 +151,8 @@ def solve(c, A, b) -> LpSolution:
         if j < m:
             B[:, i] = A[:, j]
             c_B[i] = c[j]
-        elif j < m + r:
-            B[j - m, i] = 1.0
         else:
-            B[np.nonzero(flip)[0][j - m - r], i] = 1.0
+            B[j - m, i] = 1.0
     try:
         y = np.linalg.solve(B.T, c_B)
     except np.linalg.LinAlgError:

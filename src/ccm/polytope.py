@@ -12,7 +12,8 @@ plus e_1 and e_2, so two-agent sets have facets at every size and run no
 LP.  With three or more agents the facets come from subsets of the
 maximal generators; sets whose pass would cost more than
 `FACET_SUBSET_LIMIT` candidate normals have no facets and are decided by
-small LPs over the generator weights instead.  Affine images of the unit
+small LPs over normals instead: n + 1 variables, with the maximal
+generators joining as rows one at a time.  Affine images of the unit
 simplex ("simplex games") get closed forms of their own.
 """
 from __future__ import annotations
@@ -235,24 +236,43 @@ def _slacks(B: Polytope, Y: np.ndarray) -> np.ndarray:
     return (b - Y @ A.T).min(axis=1)
 
 
+def _max_w(D: np.ndarray, r: np.ndarray, bound: np.ndarray, beta: float) -> float:
+    """maximize w s.t. D_g.z + w <= r_g for every g, bound.(z, w) <= beta, (z, w) >= 0.
+
+    r >= 0 and beta >= 0, so the origin is feasible.  Rows are generated
+    (Kelley's cutting planes, 1960).  The first are the rows most violated
+    at w = 0 and z = 1 or a unit vector; then the current solution's most
+    violated row joins, one at a time, while it exceeds every row in.
+    Each LP is a relaxation, so the solution is optimal once none joins,
+    and no row joins twice.  Every row has a unit coefficient on w, so
+    none is all rounding dust.  Returns the optimal w.
+    """
+    Z = np.vstack([np.ones(D.shape[1]), np.eye(D.shape[1])])
+    rows = list(dict.fromkeys(np.argmax(D @ Z.T - r[:, None], axis=0).tolist()))
+    while True:
+        A = np.vstack([np.column_stack([D[rows], np.ones(len(rows))]), bound])
+        sol = lp.solve(np.eye(len(bound))[-1], A, np.r_[r[rows], beta])
+        if sol.status != lp.OPTIMAL:  # pragma: no cover - the rows in bound w
+            raise lp.LpError(f"normal LP reported {sol.status}")
+        z, w = sol.primal[:-1], sol.primal[-1]
+        excess = D @ z + w - r
+        g = int(np.argmax(excess))
+        if excess[g] <= max(0.0, excess[rows].max()):
+            return w
+        rows.append(g)
+
+
 def _domination_slack_lp(B: Polytope, x: np.ndarray) -> float:
-    G = B.generators
-    m, n = G.shape
-    # Variables (lambda, t+, t-): maximize t+ - t-.
-    A = np.zeros((n + 2, m + 2))
-    A[:n, :m] = -G.T
-    A[:n, m] = 1.0
-    A[:n, m + 1] = -1.0
-    A[n, :m] = 1.0
-    A[n + 1, :m] = -1.0
-    b = np.concatenate([-x, [1.0, -1.0]])
-    c = np.zeros(m + 2)
-    c[m] = 1.0
-    c[m + 1] = -1.0
-    sol = lp.solve(c, A, b)
-    if sol.status != lp.OPTIMAL:  # pragma: no cover - simplex-bounded by construction
-        raise lp.LpError(f"domination LP reported {sol.status}")
-    return float(sol.objective_value)
+    """domination_slack without facets: min over normals mu in the simplex of max_g mu.(g - x).
+
+    g runs over the maximal generators V.  With sigma the largest entry of
+    V - x, every row g - x - sigma is <= 0, and the slack is sigma - w for
+    the largest w with mu.(g - x - sigma) + w <= 0 and sum mu <= 1 (the
+    minimum of the homogeneous max over sum mu <= 1 lies on sum mu = 1).
+    """
+    E = _maximal_rows(B.generators) - x
+    sigma = float(E.max())
+    return sigma - _max_w(E - sigma, np.zeros(len(E)), np.r_[np.ones(B.dim), 0.0], 1.0)
 
 
 def contains(B: Polytope, x, tol: float = EPS_GEOM) -> bool:
@@ -274,31 +294,36 @@ def is_pareto_efficient(B: Polytope, x, tol: float = EPS_GEOM) -> bool:
 
     The normal cone at x is generated by the facet normals tight at x, and
     x is efficient iff that cone holds a strictly positive vector, that is
-    iff the tight normals sum to a strictly positive vector.
+    iff the tight normals sum to a strictly positive vector.  Without
+    facets, x moves down onto B's boundary first when it lies outside by
+    at most tol.
     """
     x = as_point(x, B.dim)
-    if not contains(B, x, tol):
+    slack = domination_slack(B, x)
+    if np.any(x < B.disagreement - tol) or slack < -tol:
         raise ValueError("x must be a member of B")
     F = B.facets
     if F is None:
-        return _is_pareto_efficient_lp(B, x, tol)
+        return _is_pareto_efficient_lp(B, x + min(slack, 0.0), tol)
     return bool(np.all(_tight_normals(F, x, tol).sum(axis=0) > 0))
 
 
 def _is_pareto_efficient_lp(B: Polytope, x: np.ndarray, tol: float) -> bool:
-    """The maximal coordinate sum over {y in B, y >= x} must not exceed x's."""
-    G = B.generators
-    m, n = G.shape
-    A = np.zeros((n + 2, m))
-    A[:n] = -G.T
-    A[n] = 1.0
-    A[n + 1] = -1.0
-    b = np.concatenate([-x, [1.0, -1.0]])
-    sol = lp.solve(G.sum(axis=1), A, b)
-    if sol.status != lp.OPTIMAL:
-        raise lp.LpError(f"efficiency LP reported {sol.status}")
-    gap = sol.objective_value - float(x.sum())
-    return gap <= tol * (1.0 + abs(float(x.sum())))
+    """The efficiency gap of x in B must not exceed tol (1 + |sum x|).
+
+    The gap, the largest coordinate sum over {y in B, y >= x} less x's, is
+    by LP duality min over nu >= 0 of max_g (1 + nu).(g - x), g over the
+    maximal generators.  With h0 = max_g sum(g - x), its value at nu = 0,
+    the gap is h0 - w for the largest w with nu.(g - x) + w <= h0 -
+    sum(g - x) and w <= h0.  x must lie in B, or the minimum is unbounded.
+    """
+    E = _maximal_rows(B.generators) - x
+    s = E.sum(axis=1)
+    h0 = float(s.max())
+    limit = tol * (1.0 + abs(float(x.sum())))
+    if h0 <= limit:
+        return True
+    return h0 - _max_w(E, h0 - s, np.eye(B.dim + 1)[-1], h0) <= limit
 
 
 def dominates(A: Polytope, B: Polytope, tol: float = EPS_GEOM) -> bool:

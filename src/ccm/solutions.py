@@ -147,7 +147,7 @@ def _witness_lp(B: Polytope, x: np.ndarray, tol: float):
     every row in, so none joins twice.  The LP, in (tau - 1, w) >= 0 with
     w = v0 - v and v0 the rows' worst excess at tau = 1, maximizes w
     subject to sum_{i in S} (Y_gi - 1)(tau_i - 1) + w <= v0 + n -
-    sum_{i in S} Y_gi and w <= v0; 0 is feasible, so no phase 1 runs.
+    sum_{i in S} Y_gi and w <= v0; 0 is feasible, as `lp.solve` requires.
     v is dimensionless, so x is a member iff v <= tol * n.  The base is
     c = d + (x - d)(tau - 1)/tau, exactly d at tau = 1.
     """

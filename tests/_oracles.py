@@ -4,11 +4,14 @@ Everything here avoids the library's own solution paths: LPs are checked
 by brute-force vertex enumeration (and scipy), log-welfare optima by fine
 grid search over the frontier, and equitability witnesses by the direct
 grid search over candidate simplex-game translations.  The one exception
-is the consumer problem's LP path (`consumer_problem`,
-`minimal_cost_demand`, `consumer_lp_path`), built on the library's
-tableau `lp.solve`.  It is the oracle for the closed-form
+is `consumer_problem`, built on the library's tableau `lp.solve` (its
+right-hand side is nonnegative, as `lp.solve` requires).  With
+`minimal_cost_demand` (on scipy, since its utility floor is a negative
+right-hand side) it forms the consumer problem's LP path
+(`consumer_lp_path`), the oracle for the closed-form
 `lp.consumer_envelope` that the verifiers use and for the supporting
-prices of `lp.shadow_prices`.
+prices of `lp.shadow_prices`.  Every other LP here runs on scipy's HiGHS
+(`lp_scipy`).
 
 Lindahl certificates have a per-shift assembly here
 (`shift_certificate`): the shifted problem is built and validated, and
@@ -37,6 +40,12 @@ The n >= 3 equitability witness LP has its slack-variable form here
 for the positive parts.  The library writes the same LP as subset rows
 over the maximal generators, normalized by x - d, in n + 1 variables,
 and generates only the rows it needs.
+
+The polytope predicates of sets without facets have their LP forms over
+the m generator weights here (`domination_slack_lp`,
+`is_pareto_efficient_lp`).  The library solves their LP duals, over
+normals in n + 1 variables, with the maximal generators joining as rows
+one at a time.
 
 The matching and exchange conversions have loop forms here that walk
 the matchings (or goods) one agent at a time; the library computes the
@@ -83,8 +92,17 @@ def lp_vertex_enum(c, A, b):
 
 
 def lp_scipy(c, A, b):
-    """scipy HiGHS solve of maximize c.x s.t. Ax <= b, x >= 0."""
+    """scipy HiGHS solve of maximize c.x s.t. Ax <= b, x >= 0.
+
+    HiGHS's presolve can report an unbounded LP as infeasible, so that
+    verdict is checked again without presolve.
+    """
     res = linprog(-np.asarray(c, float), A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    if res.status == 2:
+        res = linprog(
+            -np.asarray(c, float), A_ub=A, b_ub=b, bounds=(0, None), method="highs",
+            options={"presolve": False},
+        )
     if res.status == 2:
         return "infeasible", None, None
     if res.status == 3:
@@ -134,10 +152,10 @@ def minimal_cost_demand(u_i, p_i):
     # minimize p.q == maximize -p.q, keeping utility at its optimum.
     rows = [np.ones(k), -u]
     rhs = [1.0, -(opt.value - 1e-12 * scale)]
-    sol = lp.solve(-p, np.vstack(rows), np.array(rhs))
-    if sol.status != lp.OPTIMAL:  # pragma: no cover
-        raise lp.LpError(f"minimal-cost refinement reported {sol.status}")
-    q = np.where(np.abs(sol.primal) < 1e-11, 0.0, sol.primal)  # snap relaxation dust
+    status, _, q = lp_scipy(-p, np.vstack(rows), np.array(rhs))
+    if status != lp.OPTIMAL:  # pragma: no cover
+        raise lp.LpError(f"minimal-cost refinement reported {status}")
+    q = np.where(np.abs(q) < 1e-11, 0.0, q)  # snap relaxation dust
     return q, float(p @ q)
 
 
@@ -236,10 +254,10 @@ def supporting_normal_lp(B, x):
     b = np.concatenate([np.full(m, slack), [1.0, -1.0], np.zeros(n)])
     c = np.zeros(n + 1)
     c[n] = 1.0
-    sol = lp.solve(c, A, b)
-    if sol.status != lp.OPTIMAL or sol.objective_value <= EPS_GEOM:
+    status, value, z = lp_scipy(c, A, b)
+    if status != lp.OPTIMAL or value <= EPS_GEOM:
         raise lp.LpError("no strictly positive supporting normal; point is not efficient")
-    return sol.primal[:n]
+    return z[:n]
 
 
 def nash_point_grid_2d(generators, steps=4000):
@@ -571,10 +589,52 @@ def witness_lp_slack(B, x, tol):
         rhs.append(float(n))
     c_obj = np.zeros(nv)
     c_obj[-1] = -1.0
-    sol = lp.solve(c_obj, np.vstack(rows), np.array(rhs))
-    if sol.status != lp.OPTIMAL:
-        raise lp.LpError(f"witness LP reported {sol.status}")
-    violation = float(sol.primal[-1])
-    t = tmin + sol.primal[:n]
+    status, _, z = lp_scipy(c_obj, np.vstack(rows), np.array(rhs))
+    if status != lp.OPTIMAL:
+        raise lp.LpError(f"witness LP reported {status}")
+    violation = float(z[-1])
+    t = tmin + z[:n]
     c = x - 1.0 / t
     return violation <= tol * n, np.maximum(c, d), violation
+
+
+def domination_slack_lp(B, x):
+    """`polytope.domination_slack` as an LP over the m generator weights.
+
+    Variables (lambda, t+, t-): maximize t = t+ - t- subject to
+    G^T lambda >= x + t and sum lambda = 1.
+    """
+    G = B.generators
+    m, n = G.shape
+    A = np.zeros((n + 2, m + 2))
+    A[:n, :m] = -G.T
+    A[:n, m] = 1.0
+    A[:n, m + 1] = -1.0
+    A[n, :m] = 1.0
+    A[n + 1, :m] = -1.0
+    b = np.concatenate([-x, [1.0, -1.0]])
+    c = np.zeros(m + 2)
+    c[m] = 1.0
+    c[m + 1] = -1.0
+    status, value, _ = lp_scipy(c, A, b)
+    if status != lp.OPTIMAL:  # pragma: no cover - bounded and feasible by construction
+        raise lp.LpError(f"domination LP reported {status}")
+    return float(value)
+
+
+def is_pareto_efficient_lp(B, x, tol=EPS_GEOM):
+    """`polytope.is_pareto_efficient` by the generator-weight LP: the maximal
+    coordinate sum over {y in B, y >= x} must not exceed x's by more than
+    tol (1 + |sum x|)."""
+    G = B.generators
+    m, n = G.shape
+    A = np.zeros((n + 2, m))
+    A[:n] = -G.T
+    A[n] = 1.0
+    A[n + 1] = -1.0
+    b = np.concatenate([-x, [1.0, -1.0]])
+    status, value, _ = lp_scipy(G.sum(axis=1), A, b)
+    if status != lp.OPTIMAL:
+        raise lp.LpError(f"efficiency LP reported {status}")
+    gap = value - float(x.sum())
+    return gap <= tol * (1.0 + abs(float(x.sum())))

@@ -2,18 +2,22 @@
 
 `Polytope.facets` turns domination slack, membership, set domination,
 efficiency and the two-agent supporting normal into closed-form reads.
-The LP forms stay in `polytope` and `solutions` for sets of three or more
-agents above `FACET_SUBSET_LIMIT`; here they are the reference, on the
-corpus bargaining sets, random sets with duplicated, dominated and flat
-generators, singletons and one set above the limit.  Two-agent sets read
-their facets off the frontier chain at every size; the subset pass, the
-tolerance-based frontier chain (`_oracles.frontier_chain_tol`) and the
-LP supporting normal (`_oracles.supporting_normal_lp`) are their
+Sets of three or more agents above `FACET_SUBSET_LIMIT` have no facets
+and solve LPs over normals (`polytope._domination_slack_lp`,
+`polytope._is_pareto_efficient_lp`).  Here the generator-weight LP forms
+(`_oracles.domination_slack_lp`, `_oracles.is_pareto_efficient_lp`) are
+the reference for both routes, on the corpus bargaining sets, random sets
+with duplicated, dominated and flat generators, singletons and sets
+above the limit, among them an 8-agent matching set.  Two-agent sets
+read their facets off the frontier chain at every size; the subset pass,
+the tolerance-based frontier chain (`_oracles.frontier_chain_tol`) and
+the LP supporting normal (`_oracles.supporting_normal_lp`) are their
 references, on the sets above, quarter circles, the fixtures and one
 two-agent set far above the limit.
 """
 import json
 import os
+import sys
 from math import comb
 
 import numpy as np
@@ -22,12 +26,15 @@ import pytest
 from ccm import cli
 from ccm import lp
 from ccm import market as mk
+from ccm import matching as mt
 from ccm import polytope as pt
 from ccm import solutions as sol
 from ccm.tolerances import EPS_GEOM
 
 from _oracles import (
+    domination_slack_lp,
     frontier_chain_tol,
+    is_pareto_efficient_lp,
     random_collective,
     random_normalized_polytope,
     supporting_normal_lp,
@@ -37,12 +44,12 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _lp_contains(B, x, tol=EPS_GEOM):
-    return bool(np.all(x >= B.disagreement - tol)) and pt._domination_slack_lp(B, x) >= -tol
+    return bool(np.all(x >= B.disagreement - tol)) and domination_slack_lp(B, x) >= -tol
 
 
 def _lp_dominates(A, B, tol=EPS_GEOM):
     return bool(np.all(A.disagreement >= B.disagreement - tol)) and all(
-        pt._domination_slack_lp(A, y) >= -tol for y in B.generators
+        domination_slack_lp(A, y) >= -tol for y in B.generators
     )
 
 
@@ -53,7 +60,7 @@ def _queries(B, rng, count=4):
     w = rng.dirichlet(np.ones(len(B.generators)), count)
     inner = w @ B.generators - rng.uniform(0, 0.2, (count, B.dim)) * (top - d)
     pts = np.vstack([B.generators, box, inner])
-    pushed = [y + pt._domination_slack_lp(B, y) for y in pts]
+    pushed = [y + pt.domination_slack(B, y) for y in pts]
     return np.vstack([pts, pushed])
 
 
@@ -65,16 +72,29 @@ def _check_structure(B):
     assert np.allclose(b, (B.generators @ A.T).max(axis=0), rtol=0, atol=1e-12)
 
 
+def _facet_free(B):
+    """A copy of B without facets, so that its predicates solve LPs at every n."""
+    free = pt.Polytope(B.generators)
+    free.__dict__["facets"] = None
+    return free
+
+
 def _check_predicates(B, X):
-    """Every facet read agrees with its LP form on the points X."""
+    """Every facet read agrees with the LP over normals and the generator-weight LP on X."""
     _check_structure(B)
+    free = _facet_free(B)
     for x in X:
-        slack = pt._domination_slack_lp(B, x)
-        assert abs(pt.domination_slack(B, x) - slack) <= 1e-12 * (1.0 + np.abs(x).max())
+        slack = pt.domination_slack(B, x)
+        reference = domination_slack_lp(B, x)
+        bound = 1e-12 * (1.0 + np.abs(x).max())
+        assert abs(reference - slack) <= bound
+        assert abs(pt.domination_slack(free, x) - slack) <= bound
         member = pt.contains(B, x)
-        assert member == _lp_contains(B, x)
+        lp_member = bool(np.all(x >= B.disagreement - EPS_GEOM)) and reference >= -EPS_GEOM
+        assert member == lp_member == pt.contains(free, x)
         if member:
-            assert pt.is_pareto_efficient(B, x) == pt._is_pareto_efficient_lp(B, x, EPS_GEOM), x
+            efficient = pt.is_pareto_efficient(B, x)
+            assert efficient == is_pareto_efficient_lp(B, x) == pt.is_pareto_efficient(free, x), x
 
 
 def _two_agent_lp_status(B, x, tol=EPS_GEOM):
@@ -83,7 +103,7 @@ def _two_agent_lp_status(B, x, tol=EPS_GEOM):
     assert _lp_contains(B, x)
     if np.any(x - d <= tol) or np.any(x < sol.random_dictator_point(B) - tol):
         return sol.NON_MEMBER
-    if not pt._is_pareto_efficient_lp(B, x, tol):
+    if not is_pareto_efficient_lp(B, x, tol):
         return sol.NON_MEMBER
     a = supporting_normal_lp(B, x)
     c = np.maximum(x - float(np.min(a * (x - d))) / a, d)
@@ -213,6 +233,113 @@ def test_set_above_the_limit_takes_the_lp_route(monkeypatch):
             assert pt.is_pareto_efficient(big, x) == pt.is_pareto_efficient(B, x)
 
 
+def _spy_lp_calls(monkeypatch):
+    """Record (columns, least right-hand side) of every `lp.solve` call made from the package."""
+    calls = []
+    original = lp.solve
+
+    def spy(c, A, b):
+        if sys._getframe(1).f_globals["__name__"].startswith("ccm."):
+            calls.append((np.shape(A)[1], float(np.min(b))))
+        return original(c, A, b)
+
+    monkeypatch.setattr(lp, "solve", spy)
+    return calls
+
+
+def _set_above_the_limit(rng, n, near):
+    """A random set of n agents without facets; with `near`, four of its
+    maximal generators also appear moved by 1e-16 to 1e-13."""
+    while True:
+        G = random_normalized_polytope(rng, n=n, max_vertices=12 * n)
+        if near:
+            V = pt._maximal_rows(G)[:4]
+            step = rng.choice([1e-16, 1e-15, 1e-14, 1e-13], (len(V), 1))
+            G = np.vstack([G, V + step * rng.uniform(-1.0, 1.0, V.shape)])
+        B = pt.Polytope(G)
+        if B.facets is None:
+            return B
+
+
+def _frontier_mixes(B, rng, count):
+    """Convex combinations of 1-3 maximal generators of B."""
+    V = pt._maximal_rows(B.generators)
+    for _ in range(count):
+        idx = rng.choice(len(V), size=min(int(rng.integers(1, 4)), len(V)), replace=False)
+        yield rng.dirichlet(np.ones(len(idx))) @ V[idx]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sets_above_the_limit_agree_with_their_facets(n, monkeypatch):
+    # The same generators decided by LPs over normals (default limit) and by
+    # facets (limit 10**6).  Points pushed up to tol outside B still count
+    # as members; the efficiency LP then runs at x moved onto B's boundary.
+    # equitable_contains is compared on the points not pushed out: at a
+    # maximal generator pushed out, `_witness_lp` itself can raise
+    # "primal feasibility lost after pivoting" on either route.
+    rng = np.random.default_rng(40 + n)
+    calls = _spy_lp_calls(monkeypatch)
+    seen = {"efficient": 0, "inefficient": 0, sol.MEMBER: 0, sol.NON_MEMBER: 0}
+    for trial in range(4):
+        B = _set_above_the_limit(rng, n, near=trial % 2 == 1)
+        with monkeypatch.context() as m:
+            m.setattr(pt, "FACET_SUBSET_LIMIT", 10**6)
+            big = pt.Polytope(B.generators)
+            assert big.facets is not None
+        pts = np.vstack([_queries(B, rng, count=3), list(_frontier_mixes(B, rng, 12))])
+        out = np.array([y + pt.domination_slack(B, y) for y in pts])
+        out += rng.uniform(0.0, 0.9 * EPS_GEOM, (len(pts), 1))
+        inside = np.vstack([pts, sol.nash_solution(B)])
+        for j, x in enumerate(np.vstack([inside, out])):
+            slack = pt.domination_slack(big, x)
+            assert abs(pt.domination_slack(B, x) - slack) <= 1e-12 * (1.0 + np.abs(x).max())
+            member = pt.contains(big, x)
+            assert pt.contains(B, x) == member
+            if not member:
+                continue
+            efficient = pt.is_pareto_efficient(big, x)
+            assert pt.is_pareto_efficient(B, x) == efficient, x
+            seen["efficient" if efficient else "inefficient"] += 1
+            if j >= len(inside):
+                continue
+            verdict = sol.equitable_contains(B, x)
+            assert sol.equitable_contains(big, x).status == verdict.status, x
+            seen[verdict.status] += 1
+            if verdict.is_member:
+                assert sol.validate_certificate(B, x, verdict.certificate)
+    assert min(seen.values()) > 0, seen
+    assert calls and all(cols == n + 1 and least >= 0.0 for cols, least in calls)
+
+
+def _eight_agent_matching_set():
+    w = np.random.default_rng(3).uniform(0, 1, (8, 8))
+    np.fill_diagonal(w, 0.0)
+    return mk.bargaining_of(mt.to_collective(mt.MatchingProblem(mt.all_involutions(8), w)))
+
+
+def test_eight_agent_matching_points_are_screened(monkeypatch):
+    # The generator-weight efficiency LP, run by the tableau simplex,
+    # exceeded its pivot limit on 11 of these 40 points.
+    B = _eight_agent_matching_set()
+    V = pt._maximal_rows(B.generators)
+    assert B.facets is None and V.shape == (69, 8)
+    calls = _spy_lp_calls(monkeypatch)
+    r = np.random.default_rng(1)
+    seen = {sol.MEMBER: 0, sol.NON_MEMBER: 0}
+    for _ in range(40):
+        k = r.integers(1, 4)
+        idx = r.choice(69, k, replace=False)
+        x = r.dirichlet(np.ones(k)) @ V[idx]
+        verdict = sol.equitable_contains(B, x)
+        seen[verdict.status] += 1
+        if verdict.is_member:
+            assert sol.validate_certificate(B, x, verdict.certificate)
+        if k > 1:
+            assert pt.is_pareto_efficient(B, x) == is_pareto_efficient_lp(B, x), x
+    assert min(seen.values()) > 0, seen
+    assert all(cols == 9 and least >= 0.0 for cols, least in calls)
+
+
 def test_facets_are_built_once_per_instance(monkeypatch):
     seen = []
     original = pt._facets
@@ -281,7 +408,7 @@ def test_two_agent_set_above_the_subset_limit_runs_no_lp(monkeypatch):
     box = rng.uniform(-0.1, 1.1, (4, 2))
     inner = rng.dirichlet(np.ones(m), 4) @ G - rng.uniform(0, 0.2, (4, 2))
     pts = np.vstack([G[::50], box, inner])
-    X = np.vstack([pts, [y + pt._domination_slack_lp(B, y) for y in pts]])
+    X = np.vstack([pts, [y + domination_slack_lp(B, y) for y in pts]])
     _check_predicates(B, X)
     # Arc points above and below the midpoint benchmark (0.5, 0.5).
     probes = G[[200, 150, 20, 390]]
