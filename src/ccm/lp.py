@@ -66,13 +66,13 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(T, basis, eligible, max_iter):
+def _run_simplex(T, basis):
     """Bland's rule on tableau T (last row = reduced costs, last col = rhs)."""
-    rows = T.shape[0] - 1
-    for _ in range(max_iter):
+    rows, cols = T.shape[0] - 1, T.shape[1] - 1
+    for _ in range(10_000 + 30 * cols):
         enter = -1
         obj = T[-1]
-        for j in eligible:
+        for j in range(cols):
             if obj[j] > _PIVOT_TOL:
                 enter = j
                 break
@@ -135,7 +135,7 @@ def solve(c, A, b) -> LpSolution:
     T[-1, :m] = c
     basis = np.arange(m, m + r)
     try:
-        _run_simplex(T, basis, range(m + r), 10_000 + 30 * (m + r))
+        _run_simplex(T, basis)
     except _Unbounded:
         return LpSolution(UNBOUNDED, None, None, None)
 

@@ -254,7 +254,7 @@ def _max_w(D: np.ndarray, r: np.ndarray, bound: np.ndarray, beta: float) -> floa
         sol = lp.solve(np.eye(len(bound))[-1], A, np.r_[r[rows], beta])
         if sol.status != lp.OPTIMAL:  # pragma: no cover - the rows in bound w
             raise lp.LpError(f"normal LP reported {sol.status}")
-        z, w = sol.primal[:-1], sol.primal[-1]
+        z, w = sol.primal[:-1], float(sol.primal[-1])
         excess = D @ z + w - r
         g = int(np.argmax(excess))
         if excess[g] <= max(0.0, excess[rows].max()):

@@ -298,7 +298,7 @@ def test_sets_above_the_limit_agree_with_their_facets(n, monkeypatch):
             if not member:
                 continue
             efficient = pt.is_pareto_efficient(big, x)
-            assert pt.is_pareto_efficient(B, x) == efficient, x
+            assert pt.is_pareto_efficient(B, x) is efficient, x
             seen["efficient" if efficient else "inefficient"] += 1
             if j >= len(inside):
                 continue
