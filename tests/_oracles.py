@@ -347,6 +347,14 @@ def random_normalized_polytope(rng, n=2, max_vertices=6):
             return gens
 
 
+def frontier_mixes(B, rng, count):
+    """Convex combinations of 1-3 maximal generators of B."""
+    V = polytope._maximal_rows(B.generators)
+    for _ in range(count):
+        idx = rng.choice(len(V), size=min(int(rng.integers(1, 4)), len(V)), replace=False)
+        yield rng.dirichlet(np.ones(len(idx))) @ V[idx]
+
+
 def matching_gather(matchings, a):
     """out[i, col] = a[i, partner of i in matching col].
 

@@ -34,6 +34,7 @@ from ccm.tolerances import EPS_GEOM
 from _oracles import (
     domination_slack_lp,
     frontier_chain_tol,
+    frontier_mixes,
     is_pareto_efficient_lp,
     random_collective,
     random_normalized_polytope,
@@ -261,14 +262,6 @@ def _set_above_the_limit(rng, n, near):
             return B
 
 
-def _frontier_mixes(B, rng, count):
-    """Convex combinations of 1-3 maximal generators of B."""
-    V = pt._maximal_rows(B.generators)
-    for _ in range(count):
-        idx = rng.choice(len(V), size=min(int(rng.integers(1, 4)), len(V)), replace=False)
-        yield rng.dirichlet(np.ones(len(idx))) @ V[idx]
-
-
 @pytest.mark.parametrize("n", [4, 5])
 def test_sets_above_the_limit_agree_with_their_facets(n, monkeypatch):
     # The same generators decided by LPs over normals (default limit) and by
@@ -286,7 +279,7 @@ def test_sets_above_the_limit_agree_with_their_facets(n, monkeypatch):
             m.setattr(pt, "FACET_SUBSET_LIMIT", 10**6)
             big = pt.Polytope(B.generators)
             assert big.facets is not None
-        pts = np.vstack([_queries(B, rng, count=3), list(_frontier_mixes(B, rng, 12))])
+        pts = np.vstack([_queries(B, rng, count=3), list(frontier_mixes(B, rng, 12))])
         out = np.array([y + pt.domination_slack(B, y) for y in pts])
         out += rng.uniform(0.0, 0.9 * EPS_GEOM, (len(pts), 1))
         inside = np.vstack([pts, sol.nash_solution(B)])

@@ -9,6 +9,7 @@ from ccm import solutions as sol
 from ccm.tolerances import EPS_GEOM
 
 from _oracles import (
+    frontier_mixes,
     nash_point_grid_2d,
     random_collective,
     random_normalized_polytope,
@@ -250,7 +251,7 @@ def _witness_queries():
         P = mk.CollectiveProblem(u)
         B = mk.bargaining_of(P)
         pay = np.array([c.payoffs for c in mk.sweep_lindahl_payoffs(P, 8)])
-        for x in [*pay, *(0.5 * (pay[1:] + pay[:-1])), *_frontier_mixes(B, pick, 20)]:
+        for x in [*pay, *(0.5 * (pay[1:] + pay[:-1])), *frontier_mixes(B, pick, 20)]:
             yield B, x
     sets = np.random.default_rng(5)
     for n in (4, 5, 6):
@@ -258,15 +259,7 @@ def _witness_queries():
             B = pt.Polytope(random_normalized_polytope(sets, n=n, max_vertices=8))
             if B.full_dimensional:
                 yield B, sol.nash_solution(B)
-                yield from ((B, x) for x in _frontier_mixes(B, pick, 4))
-
-
-def _frontier_mixes(B, rng, count):
-    """Convex combinations of 1-3 maximal generators of B."""
-    V = pt._maximal_rows(B.generators)
-    for _ in range(count):
-        idx = rng.choice(len(V), size=min(int(rng.integers(1, 4)), len(V)), replace=False)
-        yield rng.dirichlet(np.ones(len(idx))) @ V[idx]
+                yield from ((B, x) for x in frontier_mixes(B, pick, 4))
 
 
 def _spy_witness_lps(monkeypatch):
@@ -330,7 +323,7 @@ class TestWitnessLp:
         # maximal generators.
         B = pt.Polytope(random_normalized_polytope(np.random.default_rng(5), n=n, max_vertices=3 * n))
         m = len(pt._maximal_rows(B.generators))
-        mixes = _frontier_mixes(B, np.random.default_rng(1), 60)
+        mixes = frontier_mixes(B, np.random.default_rng(1), 60)
         queries = [x for x in mixes if reaches_witness_lp(B, x)][:8]
         assert len(queries) == 8
         shapes = _spy_witness_lps(monkeypatch)
