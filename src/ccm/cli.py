@@ -206,7 +206,8 @@ def _payoff_violations(P, cert: dict, tol: float, listed=None) -> list[market.Vi
     """`payoffs` = u q on the collective form, and `alpha` + `c` = `payoffs`, where given.
 
     `listed` is a sweep's top-level payoff row for this certificate, held
-    to u q as well.  Judged at `verify_lindahl`'s threshold, tol times its scale.
+    to u q as well.  Agent i's gaps are judged in its utility units, within
+    tol times its largest utility, as `verify_lindahl` judges consumer optimality.
     """
     vector = polytope.as_point  # 1-d, finite, of the given length
     value = P.u @ vector(cert["q"], P.k)
@@ -218,12 +219,12 @@ def _payoff_violations(P, cert: dict, tol: float, listed=None) -> list[market.Vi
             gaps["payoff_split"] = vector(cert["alpha"], P.n) + vector(cert["c"], P.n) - payoffs
     if listed is not None:
         gaps["listed_payoffs"] = vector(listed, P.n) - value
-    limit = tol * (1.0 + max(P.u.max(), 1.0))
+    limit = tol * P.u.max(axis=1)
     return [
         market.Violation(condition, i, float(abs(g)))
         for condition, gap in gaps.items()
         for i, g in enumerate(gap)
-        if abs(g) > limit
+        if abs(g) > limit[i]
     ]
 
 
@@ -334,29 +335,17 @@ def cmd_equitable(args) -> int:
     doc, digest = _load_problem(args.problem)
     B = _bargaining_of(doc)
     x = _parse_vector(args.point)
-    try:
-        verdict = solutions.equitable_contains(B, x)
-    except ValueError as exc:
-        if "outside" in str(exc):
-            payload = _base("equitable", digest, EPS_LP)
-            payload.update({"point": x.tolist(), "status": "non_member_certified",
-                            "witness": None, "reason": "not feasible"})
-            _emit(payload, args.out)
-            return EXIT_NON_MEMBER
-        raise
     payload = _base("equitable", digest, EPS_LP)
-    payload.update(
-        {
-            "point": x.tolist(),
-            "status": verdict.status,
-            "witness": None
-            if verdict.certificate is None
-            else {
-                "scale": verdict.certificate.witness.scale.tolist(),
-                "base": verdict.certificate.witness.base.tolist(),
-            },
-        }
-    )
+    payload.update({"point": x.tolist(), "status": solutions.NON_MEMBER, "witness": None})
+    if not polytope.contains(B, x):
+        payload["reason"] = "not feasible"
+        _emit(payload, args.out)
+        return EXIT_NON_MEMBER
+    verdict = solutions.equitable_contains(B, x)
+    payload["status"] = verdict.status
+    if verdict.is_member:
+        game = verdict.certificate.witness
+        payload["witness"] = {"scale": game.scale.tolist(), "base": game.base.tolist()}
     _emit(payload, args.out)
     return EXIT_OK if verdict.is_member else EXIT_NON_MEMBER
 

@@ -294,16 +294,15 @@ def verify_walras_exchange(
         raise ValueError("price and economy good lists differ")
     pv = prices.price_vector()
     table = E.value_table()
-    scale = 1.0 + max(table.max(), 1.0)
     demand = [theta.marginal(i, E.r) for i in range(E.n)]
-    violations = consumer_violations(table, [pv] * E.n, demand, tol, scale)
+    violations = consumer_violations(table, [pv] * E.n, demand, tol)
 
     revenue = partition_revenue(prices, E.r)
     for w, alloc in zip(theta.weights, theta.allocations):
         if w <= EPS_SUPP:
             continue
         got = float(sum(pv[mask] for mask in alloc))
-        if revenue - got > tol * scale * E.n:
+        if revenue - got > tol * E.n:
             violations.append(Violation("firm_revenue", None, revenue - got))
             break
     return Verdict(not violations, violations)

@@ -304,7 +304,7 @@ def shadow_prices(u_i, p_i, q):
     hx, hy = _envelope(u, p)
     if qv.shape != u.shape or qv.min() < -EPS_LP:
         raise ValueError("q must be a nonnegative lottery over the outcomes")
-    scale = 1.0 + max(u.max(), 1.0)
+    scale = u.max()  # the agent's utility unit
     if abs(qv.sum() - 1.0) > 1e-7:
         raise ValueError("precondition failed: q does not have unit mass")
     if abs(p @ qv - 1.0) > 1e-7:
@@ -312,14 +312,14 @@ def shadow_prices(u_i, p_i, q):
     value, min_cost = _peak(hx, hy)
     if u @ qv < value - 1e-7 * scale:
         raise ValueError("precondition failed: q is not a consumer optimum")
-    if p @ qv > min_cost + 1e-7 * scale:
+    if p @ qv > min_cost + 1e-7:
         raise ValueError("precondition failed: q is not minimal cost")
 
     j = min(bisect_left(hx, 1.0), len(hx) - 1)  # hx[j - 1] < 1 <= hx[j], else the top
     # A lone vertex at cost 0 has no rising segment, hence no surplus.
     alpha = (hy[j] - hy[j - 1]) / (hx[j] - hx[j - 1]) if j else 0.0
     c = hy[j - 1] - alpha * hx[j - 1]
-    if alpha <= EPS_LP:
+    if alpha <= EPS_LP * scale:
         raise ValueError("precondition failed: zero surplus over the cheap outcomes")
 
     resid = alpha * p - (u - c)

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import lp
 from ._logmax import maximize_log_sum_batch
-from .polytope import Polytope, SimplexGame, coco_hull, fair_outcome, simplex_dominates
+from .polytope import Polytope, SimplexGame, coco_hull, fair_outcome
+from .solutions import EquitabilityCertificate, validate_certificate
 from .tolerances import EPS_LP, EPS_SUPP, PAYOFF_DEDUP
 
 
@@ -133,13 +134,13 @@ def nash_allocation(P: CollectiveProblem) -> np.ndarray:
 
 
 def admissible(P: CollectiveProblem, c, q, tol: float = EPS_LP) -> bool:
-    """True iff every supported outcome gives each agent at least c_i."""
+    """True iff every supported outcome gives each agent at least c_i, judged in its units."""
     c = np.asarray(c, dtype=float)
     q = np.asarray(q, dtype=float)
     support = q > EPS_SUPP
     if not support.any():
         return True
-    return bool(np.all(P.u[:, support] >= c[:, None] - tol))
+    return bool(np.all(P.u[:, support] >= c[:, None] - tol * P.u.max(axis=1)[:, None]))
 
 
 def lindahl_from_nash(P: CollectiveProblem, c, tol: float = EPS_LP) -> LindahlCertificate | None:
@@ -169,13 +170,13 @@ def _admit_twins(U, C, S, Q, tol: float) -> np.ndarray:
 
     U is (n, m), the shifts C are (K, n), the shifted utilities S are
     (K, n, m) and the lotteries Q are (K, m).  A supported column that
-    gives some agent less than c_i - tol is inadmissible, but the solver
-    splits weight between twins (columns identical after the shift): its
-    weight moves, in place in Q, to the first twin that gives no agent
-    less, if there is one.  Payoffs and alpha stay as they are.  Returns
-    a length-K mask of the shifts whose support is then admissible.
+    gives some agent less than c_i - tol max_j U_ij is inadmissible, but
+    the solver splits weight between twins (columns identical after the
+    shift): its weight moves, in place in Q, to the first twin that gives
+    no agent less, if there is one.  Payoffs and alpha stay as they are.
+    Returns a length-K mask of the shifts whose support is then admissible.
     """
-    below = (U[None, :, :] < C[:, :, None] - tol).any(axis=1)
+    below = (U[None, :, :] < C[:, :, None] - tol * U.max(axis=1)[:, None]).any(axis=1)
     bad = (Q > EPS_SUPP) & below
     b, j = np.nonzero(bad)
     twins = (S[b] == S[b, :, j][:, :, None]).all(axis=1) & ~below[b]
@@ -195,14 +196,15 @@ def _certificates(P, C, Q) -> tuple[list[LindahlCertificate], np.ndarray]:
     return [LindahlCertificate(*row) for row in zip(p, Q, alpha + C, alpha, C)], p
 
 
-def consumer_violations(U, P, X, tol: float, scale: float) -> list[Violation]:
+def consumer_violations(U, P, X, tol: float) -> list[Violation]:
     """Consumer-side violations of agents with utility, price and demand rows.
 
     U is an (n, k) array; P and X hold n rows of length k each.  Per
-    agent i: the demand X[i] attains the consumer value of (U[i], P[i]),
-    respects the budget, and is minimal cost among optima.  An agent with
-    no stake gains nothing from spending, so any cost above the tolerance
-    is a minimal-cost violation.  One `lp.consumer_envelopes` call serves
+    agent i: the demand X[i] attains the consumer value of (U[i], P[i])
+    within tol max_j U[i, j], and in money it respects the budget within
+    tol and is minimal cost among optima within 10 tol.  An agent with no
+    stake gains nothing from spending, so any cost above tol is a
+    minimal-cost violation.  One `lp.consumer_envelopes` call serves
     every agent with a stake.  Violations are ordered by agent, then by
     condition.
     """
@@ -215,9 +217,8 @@ def consumer_violations(U, P, X, tol: float, scale: float) -> list[Violation]:
     best, min_cost = value.copy(), np.zeros(len(U))
     best[stake], min_cost[stake] = lp.consumer_envelopes(U[stake], P[stake])
     gaps = np.stack([best - value, cost - 1.0, cost - min_cost], axis=1)
-    over = gaps > tol * scale
-    over[:, 2] = gaps[:, 2] > np.where(stake, 10 * tol * scale, tol * scale)
-    rows, conds = np.nonzero(over)
+    limits = tol * np.column_stack([U.max(axis=1), np.ones(len(U)), np.where(stake, 10.0, 1.0)])
+    rows, conds = np.nonzero(gaps > limits)
     return [
         Violation(_CONSUMER_CONDITIONS[j], i, float(gaps[i, j]))
         for i, j in zip(rows.tolist(), conds.tolist())
@@ -229,7 +230,8 @@ def verify_lindahl(P: CollectiveProblem, p, q, tol: float = EPS_LP) -> Verdict:
 
     Per agent: the lottery attains the consumer optimum, respects the
     budget, and is minimal cost among optima.  Firm side: unit mass and
-    revenue equal to the best single outcome's revenue.
+    revenue equal to the best single outcome's revenue.  Gaps are judged
+    as `consumer_violations` judges them; the revenue gap within tol * n.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (P.n, P.k):
@@ -244,10 +246,9 @@ def verify_lindahl(P: CollectiveProblem, p, q, tol: float = EPS_LP) -> Verdict:
 def _lindahl_violations(P: CollectiveProblem, p, q, tol: float) -> list[list[Violation]]:
     """`verify_lindahl`'s violations for K certificates: p is (K, n, k), q is (K, k)."""
     K, n, k = p.shape
-    scale = 1.0 + max(P.u.max(), 1.0)
     U, X = np.tile(P.u, (K, 1)), np.repeat(q, n, axis=0)
     out: list[list[Violation]] = [[] for _ in range(K)]
-    for v in consumer_violations(U, p.reshape(K * n, k), X, tol, scale):
+    for v in consumer_violations(U, p.reshape(K * n, k), X, tol):
         out[v.agent // n].append(Violation(v.condition, v.agent % n, v.residual))
 
     mass = np.abs(q.sum(axis=1) - 1.0)
@@ -255,7 +256,7 @@ def _lindahl_violations(P: CollectiveProblem, p, q, tol: float) -> list[list[Vio
     rev_gap = revenue.max(axis=1) - np.matmul(revenue[:, None, :], q[:, :, None])[:, 0, 0]
     for r in np.nonzero(mass > tol)[0]:
         out[r].append(Violation("lottery_mass", None, float(mass[r])))
-    for r in np.nonzero(rev_gap > tol * scale * n)[0]:
+    for r in np.nonzero(rev_gap > tol * n)[0]:
         out[r].append(Violation("firm_revenue", None, float(rev_gap[r])))
     return out
 
@@ -308,9 +309,9 @@ def sweep_lindahl_payoffs(
     """Enumerate equilibrium payoffs over a grid of admissible utility shifts.
 
     All grid cells are solved as one batched Nash computation; admissible
-    cells become certificates, payoffs are deduplicated (first hit in
-    lexicographic shift order wins), and the surviving certificates are
-    re-verified in one batched check before being returned.
+    cells become certificates, payoffs are deduplicated in each agent's
+    units (first hit in lexicographic shift order wins), and the surviving
+    certificates are re-verified in one batched check before being returned.
     """
     if P.n > 4:
         raise ValueError("sweep cost grows as steps**n; n <= 4 only")
@@ -321,7 +322,7 @@ def sweep_lindahl_payoffs(
     lam, _, _ = maximize_log_sum_batch(shifted, tol=1e-11)
     live = np.nonzero(_admit_twins(Ured, grid, shifted, lam, tol))[0]
     payoffs = (np.matmul(shifted, lam[:, :, None])[:, :, 0] + grid)[live]
-    kept = live[_first_hits(payoffs, PAYOFF_DEDUP)]
+    kept = live[_first_hits(payoffs / P.u.max(axis=1), PAYOFF_DEDUP)]
 
     Q = np.zeros((kept.size, P.k))
     Q[:, reps] = lam[kept]
@@ -339,27 +340,20 @@ def equitable_witness_from_lindahl(P: CollectiveProblem, p, q, tol: float = EPS_
     Agents with budget slack first get their bliss outcomes repriced to
     one (which preserves the equilibrium and makes every budget bind);
     then per-agent shadow prices (c_i, alpha_i) aggregate into the game
-    n*alpha (x) Delta + c whose fair outcome is the payoff vector.
+    n*alpha (x) Delta + c whose fair outcome is the payoff vector, as
+    `solutions.validate_certificate` checks.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     verdict = verify_lindahl(P, p, q, tol)
     if not verdict.passed:
         raise ValueError(f"not a Lindahl equilibrium: {verdict.violations}")
-    p_bar = p.copy()
-    for i in range(P.n):
-        if p[i] @ q < 1.0 - 1e-9:
-            bliss = P.u[i] >= P.u[i].max() - 1e-12
-            p_bar[i, bliss] = 1.0
-    c = np.empty(P.n)
-    alpha = np.empty(P.n)
-    for i in range(P.n):
-        c[i], alpha[i] = lp.shadow_prices(P.u[i], p_bar[i], q)
+    bliss = P.u >= P.u.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+    p_bar = np.where((p @ q < 1.0 - 1e-9)[:, None] & bliss, 1.0, p)
+    c, alpha = np.array([lp.shadow_prices(u, row, q) for u, row in zip(P.u, p_bar)]).T
     witness = SimplexGame(alpha, c)
     payoffs = P.u @ q
-    B = bargaining_of(P)
-    if not simplex_dominates(witness, B, 1e-7):
-        raise lp.LpError("equilibrium witness failed the domination check")
-    if np.abs(fair_outcome(witness) - payoffs).max() > 1e-7 * (1.0 + payoffs.max()):
-        raise lp.LpError("equilibrium witness fair point mismatch")
+    cert = EquitabilityCertificate(witness, fair_outcome(witness))
+    if not validate_certificate(bargaining_of(P), payoffs, cert):
+        raise lp.LpError("equilibrium witness failed re-validation")
     return witness, payoffs

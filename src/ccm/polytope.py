@@ -398,11 +398,12 @@ def simplex_dominates(A: SimplexGame, B: Polytope, tol: float = EPS_GEOM) -> boo
     Equivalent to dominates(A.as_polytope(), B): the positive part of each
     generator, measured in apex units above A's base, must fit under the
     unit simplex, and A's base must sit above B's disagreement point.
+    Both are judged in apex units: tol is relative to each apex length n a_i.
     """
     if A.dim != B.dim:
         raise ValueError("dimension mismatch")
-    if np.any(A.base < B.disagreement - tol):
+    apex = A.dim * A.scale
+    if (A.base < B.disagreement - tol * apex).any():
         return False
-    n = A.dim
-    loads = np.maximum(B.generators - A.base, 0.0) / (n * A.scale)
+    loads = np.maximum(B.generators - A.base, 0.0) / apex
     return bool(loads.sum(axis=1).max() <= 1.0 + tol)

@@ -36,6 +36,7 @@ from .polytope import (
     _tight_normals,
     as_point,
     contains,
+    domination_slack,
     dominates,
     fair_outcome,
     is_pareto_efficient,
@@ -95,10 +96,7 @@ def supporting_simplex(B: Polytope, tol: float = EPS_GEOM) -> SimplexGame:
     _require_full_dimensional(B)
     x = nash_solution(B)
     A = SimplexGame(x - B.disagreement, B.disagreement)
-    if not simplex_dominates(A, B, max(tol, 1e-7)):
-        raise lp.LpError("supporting simplex failed its domination postcondition")
-    if not contains(A.as_polytope(), x, max(tol, 1e-7)):
-        raise lp.LpError("supporting simplex does not contain the Nash point")
+    _certify(B, x, A, tol)
     return A
 
 
@@ -182,7 +180,8 @@ def equitable_contains(B: Polytope, x, tol: float = EPS_GEOM) -> EquitableVerdic
     """Decide whether x is a fair outcome of some simplex game dominating B.
 
     The decision is exact.  Members come with a certificate that
-    re-validates through independent code paths.
+    re-validates through independent code paths.  A point `contains`
+    admits outside B runs the witness LP on B's boundary below it.
     """
     x = as_point(x, B.dim)
     _require_full_dimensional(B)
@@ -190,11 +189,12 @@ def equitable_contains(B: Polytope, x, tol: float = EPS_GEOM) -> EquitableVerdic
         raise ValueError("x lies outside the bargaining set")
     d = B.disagreement
     n = B.dim
+    spread = B.bliss - d
 
     # Necessary conditions with direct certificates.
-    if np.any(x - d <= tol):
+    if (x - d <= tol * spread).any():
         return EquitableVerdict(NON_MEMBER, None)
-    if np.any(x < random_dictator_point(B) - tol):
+    if (x < random_dictator_point(B) - tol * spread).any():
         return EquitableVerdict(NON_MEMBER, None)
     if not is_pareto_efficient(B, x, tol):
         return EquitableVerdict(NON_MEMBER, None)
@@ -205,7 +205,7 @@ def equitable_contains(B: Polytope, x, tol: float = EPS_GEOM) -> EquitableVerdic
         cert = _certify(B, x, witness, tol)
         return EquitableVerdict(MEMBER, cert)
 
-    feasible, c, _ = _witness_lp(B, x, tol)
+    feasible, c, _ = _witness_lp(B, x + min(domination_slack(B, x), 0.0), tol)
     if not feasible:
         return EquitableVerdict(NON_MEMBER, None)
     witness = SimplexGame(x - c, c)
@@ -214,24 +214,27 @@ def equitable_contains(B: Polytope, x, tol: float = EPS_GEOM) -> EquitableVerdic
 
 
 def _certify(B, x, witness, tol) -> EquitabilityCertificate:
-    check_tol = max(tol, 1e-7)
-    ok = simplex_dominates(witness, B, check_tol) and dominates(
-        witness.as_polytope(), B, check_tol
-    )
-    if not ok or np.abs(fair_outcome(witness) - x).max() > check_tol:
+    cert = EquitabilityCertificate(witness, fair_outcome(witness))
+    if not validate_certificate(B, x, cert, max(tol, 1e-7)):
         raise lp.LpError("equitability witness failed re-validation")
-    return EquitabilityCertificate(witness, fair_outcome(witness))
+    return cert
 
 
 def validate_certificate(B: Polytope, x, cert: EquitabilityCertificate, tol: float = 1e-7) -> bool:
-    """Re-validate a certificate by paths independent of its construction."""
+    """Re-validate a certificate by paths independent of its construction.
+
+    The one check of every simplex-game witness, in apex units n a_i: the
+    fair outcome is x, `simplex_dominates` holds, and so does `dominates`
+    within tol times the largest apex.  x must be in B (`contains` at tol).
+    """
     x = as_point(x, B.dim)
-    if np.abs(fair_outcome(cert.witness) - x).max() > tol:
+    game = cert.witness
+    apex = game.dim * game.scale
+    if (np.abs(fair_outcome(game) - x) > tol * apex).any():
         return False
-    if not contains(B, x, tol):
+    if not (simplex_dominates(game, B, tol) and contains(B, x, tol)):
         return False
-    poly = cert.witness.as_polytope()
-    return dominates(poly, B, tol) and simplex_dominates(cert.witness, B, tol)
+    return dominates(game.as_polytope(), B, tol * apex.max())
 
 
 def nash_sustainable_contains(B: Polytope, x, tol: float = EPS_GEOM) -> EquitableVerdict:
@@ -239,12 +242,13 @@ def nash_sustainable_contains(B: Polytope, x, tol: float = EPS_GEOM) -> Equitabl
 
     Delegates to the equitable test; for members the witness is re-checked
     as a Nash witness by solving for the witness game's own Nash point,
-    which must coincide with x.
+    which must coincide with x within 1e-6 apex lengths.
     """
     verdict = equitable_contains(B, x, tol=tol)
     if verdict.is_member:
-        eta = nash_solution(verdict.certificate.witness.as_polytope())
-        if np.abs(eta - as_point(x, B.dim)).max() > 1e-6 * (1.0 + np.abs(eta).max()):
+        game = verdict.certificate.witness
+        eta = nash_solution(game.as_polytope())
+        if np.any(np.abs(eta - as_point(x, B.dim)) > 1e-6 * game.dim * game.scale):
             raise lp.LpError("witness Nash point does not match the queried payoff")
     return verdict
 

@@ -337,6 +337,18 @@ def random_collective(rng, n=None, kmax=6):
             return u
 
 
+def scaled_sample(base):
+    """30 three-agent `random_collective` utilities, each row times exp(U(-2, 2)) and base.
+
+    Problems come from `default_rng(11)` and row factors from `default_rng(12)`.
+    """
+    problems, factors = np.random.default_rng(11), np.random.default_rng(12)
+    return [
+        random_collective(problems, n=3) * np.exp(factors.uniform(-2, 2, (3, 1))) * base
+        for _ in range(30)
+    ]
+
+
 def random_normalized_polytope(rng, n=2, max_vertices=6):
     """Random full-dimensional comprehensive set with origin disagreement."""
     while True:
@@ -560,9 +572,10 @@ def newton_group(Cg, lamS):
 
 def reaches_witness_lp(B, x, tol=EPS_GEOM):
     """The screens `solutions.equitable_contains` runs before its n >= 3 witness LP."""
+    spread = B.bliss - B.disagreement
     return (
-        np.all(x - B.disagreement > tol)
-        and np.all(x >= solutions.random_dictator_point(B) - tol)
+        np.all(x - B.disagreement > tol * spread)
+        and np.all(x >= solutions.random_dictator_point(B) - tol * spread)
         and polytope.is_pareto_efficient(B, x, tol)
     )
 

@@ -118,6 +118,19 @@ def test_equitable_non_member_exit_codes(capsys):
     assert json.loads(out)["reason"] == "not feasible"
 
 
+def test_equitable_on_a_flat_set(tmp_path, capsys):
+    # Feasibility is decided first: a point outside a flat set is not
+    # feasible, and one inside still needs a full-dimensional set.
+    problem = tmp_path / "flat.json"
+    problem.write_text(json.dumps({"type": "bargaining", "generators": [[0, 0], [1, 0]]}))
+    code, out, _ = run(capsys, "equitable", str(problem), "--point", "2,2")
+    assert code == 3
+    assert json.loads(out)["reason"] == "not feasible"
+    code, _, err = run(capsys, "equitable", str(problem), "--point", "0.5,0")
+    assert code == 1
+    assert "full-dimensional" in json.loads(err)["error"]
+
+
 def test_verify_accepts_equitable_certificate_with_resolution(tmp_path, capsys):
     cert = tmp_path / "eq.json"
     problem = path("cakes-bargaining.json")

@@ -266,10 +266,8 @@ def _set_above_the_limit(rng, n, near):
 def test_sets_above_the_limit_agree_with_their_facets(n, monkeypatch):
     # The same generators decided by LPs over normals (default limit) and by
     # facets (limit 10**6).  Points pushed up to tol outside B still count
-    # as members; the efficiency LP then runs at x moved onto B's boundary.
-    # equitable_contains is compared on the points not pushed out: at a
-    # maximal generator pushed out, `_witness_lp` itself can raise
-    # "primal feasibility lost after pivoting" on either route.
+    # as members; the efficiency and witness LPs then run at x moved onto
+    # B's boundary.
     rng = np.random.default_rng(40 + n)
     calls = _spy_lp_calls(monkeypatch)
     seen = {"efficient": 0, "inefficient": 0, sol.MEMBER: 0, sol.NON_MEMBER: 0}
@@ -283,7 +281,7 @@ def test_sets_above_the_limit_agree_with_their_facets(n, monkeypatch):
         out = np.array([y + pt.domination_slack(B, y) for y in pts])
         out += rng.uniform(0.0, 0.9 * EPS_GEOM, (len(pts), 1))
         inside = np.vstack([pts, sol.nash_solution(B)])
-        for j, x in enumerate(np.vstack([inside, out])):
+        for x in np.vstack([inside, out]):
             slack = pt.domination_slack(big, x)
             assert abs(pt.domination_slack(B, x) - slack) <= 1e-12 * (1.0 + np.abs(x).max())
             member = pt.contains(big, x)
@@ -293,8 +291,6 @@ def test_sets_above_the_limit_agree_with_their_facets(n, monkeypatch):
             efficient = pt.is_pareto_efficient(big, x)
             assert pt.is_pareto_efficient(B, x) is efficient, x
             seen["efficient" if efficient else "inefficient"] += 1
-            if j >= len(inside):
-                continue
             verdict = sol.equitable_contains(B, x)
             assert sol.equitable_contains(big, x).status == verdict.status, x
             seen[verdict.status] += 1

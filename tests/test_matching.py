@@ -107,13 +107,13 @@ class TestVerifyWalras:
         assert "firm_revenue" in conditions or "consumer_optimality" in conditions
 
     def test_zero_stake_agent_must_not_pay(self):
-        # Agent 1 values nobody, so any cost above tol * scale (2e-9 here) is a
-        # minimal-cost violation; the 10 * tol * scale slack of agents with a
-        # stake does not apply.
+        # Agent 1 values nobody, so any cost above tol (1e-9, in money) is a
+        # minimal-cost violation; the 10 * tol slack of agents with a stake
+        # does not apply.
         M = mt.MatchingProblem(matchings=((0, 1), (1, 0)), w=[[0, 1], [0, 0]])
         xi = np.array([[0.0, 1.0], [1.0, 0.0]])
         q = np.array([0.0, 1.0])
-        for cost, passed in ((1.5e-9, True), (5e-9, False), (1.5e-8, False)):
+        for cost, passed in ((0.5e-9, True), (5e-9, False), (1.5e-8, False)):
             pi = np.array([[0.0, 1.0], [cost, 0.0]])
             v = mt.verify_walras_matching(M, pi, xi, q)
             assert v.passed is passed

@@ -14,6 +14,7 @@ from _oracles import (
     random_collective,
     random_normalized_polytope,
     reaches_witness_lp,
+    scaled_sample,
     witness_grid_search,
     witness_lp_slack,
 )
@@ -362,15 +363,30 @@ def test_perturbed_corpus_25_payoffs_are_certified_members(eps):
         assert sol.validate_certificate(B, x, v.certificate)
 
 
+def test_generators_pushed_out_by_up_to_tol_keep_their_verdict():
+    # `contains` admits a maximal generator pushed up to tol outside B.  The
+    # witness LP at such a point raised "primal feasibility lost after
+    # pivoting" on 8 of these 748 points, and 12 more got a verdict unlike
+    # their generator's; it now runs on B's boundary below the point.
+    rng = np.random.default_rng(0)
+    for t in range(100):
+        B = pt.Polytope(random_normalized_polytope(rng, n=3 + t % 3, max_vertices=8))
+        for g in pt._maximal_rows(B.generators):
+            status = sol.equitable_contains(B, g).status
+            for u in (0.5, 0.9):
+                x = g + u * EPS_GEOM
+                v = sol.equitable_contains(B, x)
+                assert v.status == status, (t, g, u)
+                if v.is_member:
+                    assert sol.validate_certificate(B, x, v.certificate)
+
+
 @pytest.mark.parametrize("base", [1e5, 1e6])
 def test_scaled_sweep_payoffs_are_certified_members(base):
     # The slack-variable witness LP raised on 36 and 69 of these 331
     # payoffs, mostly "primal feasibility lost after pivoting".
-    problems = np.random.default_rng(11)
-    scales = np.random.default_rng(12)
     checked = 0
-    for _ in range(30):
-        u = random_collective(problems, n=3) * np.exp(scales.uniform(-2, 2, (3, 1))) * base
+    for u in scaled_sample(base):
         P = mk.CollectiveProblem(u)
         B = mk.bargaining_of(P)
         for cert in mk.sweep_lindahl_payoffs(P, 6):
