@@ -12,7 +12,22 @@ Because sum_j lam_j phi_j == n identically (phi is the gradient), the
 optimality condition is simply phi_j <= n for all j with equality on the
 support, which doubles as the reported KKT residual.
 
-The method has two phases, and convergence is decided per cell:
+For two agents the optimum lies on one segment between two columns,
+so it has a closed form (`_segment_optima`, Nash 1950): every column
+and every column pair is a candidate, and on the pair (a, a + d) the
+product (a_0 + t d_0)(a_1 + t d_1) peaks at
+t* = -(d_0 a_1 + d_1 a_0) / (2 d_0 d_1) when d_0 d_1 < 0.  Among the
+candidates within rounding of the best product the shortest segment
+wins, so on a flat optimal face the lottery sits on the columns nearest
+the Nash point.  Pairs are evaluated in blocks of at most `_PAIR_BLOCK`
+(cell, pair) entries, so memory stays bounded at any m.  A caller that
+knows a set's frontier chain passes its consecutive edges as the only
+pairs (`solutions.nash_solution`), in O(m) after the chain's sort.  Two
+agents run no ascent and no Newton step; the KKT residual re-verifies
+every cell, as for any n.
+
+For one agent, and for three or more, the method has two phases, and
+convergence is decided per cell:
 
 * A multiplicative ascent from the uniform lottery, for at most
   `warm_iters` iterations: lam_j <- lam_j phi_j / n.  This is the EM
@@ -49,6 +64,12 @@ _SUPP_EPS = 1e-10
 _NEWTON_SLICE = 1024
 _SUPPORT_ROUNDS = 10
 _NEWTON_ITERS = 40
+# (cell, segment) entries per block of the two-agent closed form.
+_PAIR_BLOCK = 4096
+# Products within this relative distance of a cell's best tie with it.
+# The 200 corpus sweeps pick the same lotteries for any value from 4e-16
+# to 1e-10; at 0, rounding hides the flat faces.
+_TIE = 1e-14
 
 
 class ConvergenceError(RuntimeError):
@@ -183,11 +204,91 @@ def _support_groups(supp):
     return np.split(order, np.flatnonzero((ranked[:, 1:] != ranked[:, :-1]).any(axis=0)) + 1)
 
 
+def _segment_points(U, J, K):
+    """Peak products, squared lengths and t* of the segments (J, K) in each cell of U.
+
+    U is (2, m, cells) and each result (segments, cells).  A segment whose
+    peak is not strictly inside it gets product -inf: its clipped peak is
+    an endpoint, a column.
+    """
+    a = U[:, J]
+    d = U[:, K] - a
+    dd = d[0] * d[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -(d[0] * a[1] + d[1] * a[0]) / (2.0 * dd)
+        x = a + t * d
+        inside = (dd < 0) & (t > 0) & (t < 1)
+        prod = np.where(inside, x[0] * x[1], -np.inf)
+    return prod, d[0] * d[0] + d[1] * d[1], t
+
+
+def _pair_blocks(b, p):
+    """(cells, segments) slices covering b cells by p segments, at most _PAIR_BLOCK entries each."""
+    if not p:
+        return
+    step = min(p, _PAIR_BLOCK)
+    rows = _PAIR_BLOCK // step
+    for lo in range(0, b, rows):
+        for s in range(0, p, step):
+            yield slice(lo, lo + rows), slice(s, s + step)
+
+
+def _segment_optima(C, J, K, tol):
+    """Two-agent log-welfare optima over the columns and the segments (J[p], K[p]).
+
+    C is (2, m, cells).  Rows are scaled to a largest entry of one, so
+    the pick does not depend on per-agent scale.  A first pass over the
+    blocks finds each cell's best product; a second picks, among the
+    candidates within `_TIE` of it, the shortest: a column (length zero,
+    lowest index first), else the first of the shortest segments, whose
+    lottery is (1 - t*, t*).  The KKT residual re-verifies every cell.
+    Returns (lam, value, residual) as `maximize_log_sum_batch` does.
+    """
+    _, m, b = C.shape
+    U = C / C.max(axis=1, keepdims=True)
+    single = U[0] * U[1]
+    best = single.max(axis=0)
+    for cells, seg in _pair_blocks(b, len(J)):
+        prod, _, _ = _segment_points(U[:, :, cells], J[seg], K[seg])
+        best[cells] = np.maximum(best[cells], prod.max(axis=0))
+    near = best * (1.0 - _TIE)
+    hit = single >= near
+    lam = np.zeros((m, b))
+    done = np.flatnonzero(hit.any(axis=0))
+    lam[hit[:, done].argmax(axis=0), done] = 1.0
+    shortest = np.full(b, np.inf)
+    shortest[done] = 0.0
+    pick = np.zeros(b, dtype=np.intp)
+    t_pick = np.zeros(b)
+    for cells, seg in _pair_blocks(b, len(J)):
+        prod, length, t = _segment_points(U[:, :, cells], J[seg], K[seg])
+        length[prod < near[cells]] = np.inf
+        k = length.argmin(axis=0)
+        r = np.flatnonzero(length[k, np.arange(len(k))] < shortest[cells])
+        k, rows = k[r], cells.start + r
+        shortest[rows] = length[k, r]
+        pick[rows] = seg.start + k
+        t_pick[rows] = t[k, r]
+    paired = np.flatnonzero(shortest > 0)
+    lam[J[pick[paired]], paired] = 1.0 - t_pick[paired]
+    lam[K[pick[paired]], paired] = t_pick[paired]
+    x, f = _objective(C, lam)
+    resid, _ = _residuals(C, lam, x)
+    if (resid > tol).any():
+        raise _missed(tol, int((resid > tol).sum()))
+    return np.ascontiguousarray(lam.T), f, resid
+
+
+def _missed(tol, cells):
+    return ConvergenceError(f"log-welfare maximizer missed tolerance {tol} on {cells} cell(s)")
+
+
 def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
     """Batched solve.  C has shape (cells, n, m), nonnegative, nonzero rows.
 
     Returns (lam, value, residual) with lam of shape (cells, m).  Raises
-    ConvergenceError if any cell misses the KKT tolerance.
+    ConvergenceError if any cell misses the KKT tolerance.  Two agents
+    take the closed form (`_segment_optima`) and ignore `warm_iters`.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 3:
@@ -198,6 +299,8 @@ def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
     if np.any(C.max(axis=2) <= 0):
         raise ValueError("every agent row needs a positive entry")
     C = np.ascontiguousarray(C.transpose(1, 2, 0))
+    if n == 2:
+        return _segment_optima(C, *np.triu_indices(m, 1), tol)
     lam, x = _warm_start(C, warm_iters, tol)
     # Every cell gets at least one Newton round: a cell that met `tol` in
     # the ascent still carries errors of that size in C lam.
@@ -227,7 +330,5 @@ def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
         todo, phi = todo[r > tol], phi[:, r > tol]
         if not todo.size:
             return np.ascontiguousarray(lam.T), f, resid
-    raise ConvergenceError(
-        f"log-welfare maximizer missed tolerance {tol} on {todo.size} cell(s)"
-    )
+    raise _missed(tol, todo.size)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lp
 from .market import CollectiveProblem, Verdict, Violation, consumer_violations, verify_lindahl
-from .polytope import Polytope, _frontier_chain, _slacks, coco_hull, contains, is_pareto_efficient
+from .polytope import Polytope, _slacks, coco_hull, contains, is_pareto_efficient
 from .solutions import equitable_set_2d
 from .tolerances import EPS_GEOM, EPS_LP, EPS_SUPP
 
@@ -347,7 +347,7 @@ def commodify_two(B: Polytope) -> Economy:
     if B.dim != 2:
         raise ValueError("commodify_two needs a two-agent set")
     _require_normalized(B)
-    chain = _frontier_chain(B.generators)
+    chain = B.frontier
     names: list[str] = []
     w1: list[float] = []
     w2: list[float] = []
@@ -523,7 +523,7 @@ def walras_from_equitable_two(B: Polytope, x):
     if not _on_segments(segments, x, 1e-9):
         raise ValueError("x is not in the equitable set")
     E = commodify_two(B)
-    chain = _frontier_chain(B.generators)
+    chain = B.frontier
     K = len(chain)
     names = list(E.names)
     w1, w2 = E.weights

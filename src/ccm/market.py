@@ -5,7 +5,11 @@ the social outcomes; the firm supplies a revenue-maximal lottery.  This
 module verifies Lindahl equilibria, constructs them from Nash allocations
 of utility-shifted problems, sweeps the shift space to enumerate the
 payoff set, and bridges to the bargaining-set view (the feasible-payoff
-polytope and equitability witnesses).  A sweep re-verifies all its
+polytope and equitability witnesses).  Two-agent Nash allocations are
+closed form (`_logmax`): the shortest best outcome pair, so on a flat
+optimal face the lottery sits on the outcomes nearest the Nash point,
+which are admissible whenever any optimal lottery is, up to twins
+(`_admit_twins`).  A sweep re-verifies all its
 certificates in one batched equilibrium check, with no thread pool: one
 consumer-envelope call covers every (certificate, agent) row.  Its
 first-hit payoff de-duplication compares only near pairs, found by one
@@ -122,9 +126,10 @@ def _unique_columns(U: np.ndarray) -> np.ndarray:
 def nash_allocation(P: CollectiveProblem) -> np.ndarray:
     """A lottery maximizing sum_i log(u_i . q) over the full unit simplex.
 
-    The returned lottery is the solver's deterministic limit; when the
-    optimal face is flat the payoff vector is still unique.  First-order
-    residuals are checked before returning.
+    The returned lottery is the solver's deterministic pick; when the
+    optimal face is flat the payoff vector is still unique (for two
+    agents the lottery is then the pair of outcomes nearest it).
+    First-order residuals are checked before returning.
     """
     reps = _unique_columns(P.u)
     lam, _, _ = maximize_log_sum_batch(P.u[None, :, reps])

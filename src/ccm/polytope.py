@@ -102,6 +102,15 @@ class Polytope:
         """
         return _facets(self.generators)
 
+    @cached_property
+    def frontier(self) -> np.ndarray:
+        """The two-agent Pareto frontier as a read-only (r, 2) chain (`_frontier_chain`)."""
+        if self.dim != 2:
+            raise ValueError("the frontier chain needs a two-agent set")
+        chain = _frontier_chain(self.generators)
+        chain.setflags(write=False)
+        return chain
+
 
 def _maximal_rows(G: np.ndarray) -> np.ndarray:
     """The distinct rows of G that no other row weakly dominates.

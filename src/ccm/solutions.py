@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from ._logmax import maximize_log_sum_batch
+from ._logmax import _segment_optima, maximize_log_sum_batch
 from .polytope import (
     DegenerateSetError,
     Polytope,
     SimplexGame,
-    _frontier_chain,
     _maximal_rows,
     _tight_normals,
     as_point,
@@ -79,11 +78,20 @@ def _require_full_dimensional(B: Polytope):
 
 
 def nash_solution(B: Polytope) -> np.ndarray:
-    """The payoff vector maximizing sum_i log(x_i - d_i) over B."""
+    """The payoff vector maximizing sum_i log(x_i - d_i) over B.
+
+    For two agents only the vertices and edges of B's frontier chain are
+    candidates, so the closed form takes O(m log m) time.
+    """
     _require_full_dimensional(B)
     d = B.disagreement
-    lam, _, _ = maximize_log_sum_batch((B.generators - d).T[None], tol=EPS_OPT)
-    return B.generators.T @ lam[0]
+    if B.dim == 2:
+        G, edge = B.frontier, np.arange(len(B.frontier) - 1)
+        lam, _, _ = _segment_optima((G - d).T[:, :, None], edge, edge + 1, EPS_OPT)
+    else:
+        G = B.generators
+        lam, _, _ = maximize_log_sum_batch((G - d).T[None], tol=EPS_OPT)
+    return G.T @ lam[0]
 
 
 def supporting_simplex(B: Polytope, tol: float = EPS_GEOM) -> SimplexGame:
@@ -265,7 +273,7 @@ def equitable_set_2d(B: Polytope, tol: float = EPS_GEOM):
     if B.dim != 2:
         raise ValueError("equitable_set_2d needs a two-agent set")
     _require_full_dimensional(B)
-    chain = _frontier_chain(B.generators)
+    chain = B.frontier
     lo = random_dictator_point(B)
     clipped = _clip_chain(chain, lo, tol)
     if clipped is None:

@@ -47,6 +47,13 @@ the m generator weights here (`domination_slack_lp`,
 normals in n + 1 variables, with the maximal generators joining as rows
 one at a time.
 
+Two-agent log-welfare optima have a chain-edge form here
+(`nash_point_on_chain`): a Pareto scan and a monotone chain in plain
+Python, then each edge's quadratic in its first coordinate.  The library
+takes the best of every column pair, or of its own cached chain's edges.
+Whether any admissible lottery of a shift reaches a payoff is one scipy
+LP (`admissible_reach`).
+
 The matching and exchange conversions have loop forms here that walk
 the matchings (or goods) one agent at a time; the library computes the
 same arrays as gathers and scatters over a stored index.
@@ -659,3 +666,70 @@ def is_pareto_efficient_lp(B, x, tol=EPS_GEOM):
         raise lp.LpError(f"efficiency LP reported {status}")
     gap = value - float(x.sum())
     return gap <= tol * (1.0 + abs(float(x.sum())))
+
+
+def corpus_problem(index):
+    """Utilities of problem `index` of the seed-2026 acceptance corpus (n = 2 at even index)."""
+    rng = np.random.default_rng(2026)
+    for t in range(index + 1):
+        u = random_collective(rng, n=2 if t % 2 == 0 else 3)
+    return u
+
+
+def nash_point_on_chain(points, d):
+    """The maximizer of (x_0 - d_0)(x_1 - d_1) over conv(points), for two agents.
+
+    Points no other point weakly dominates are found by one scan in
+    decreasing x_0, their upper concave chain by a monotone chain, and on
+    the edge from a to b, where x_1 - d_1 = r + s x_0, the product's
+    stationary x_0 = (s d_0 - r) / (2 s) is clipped to [a_0, b_0].
+    """
+    pts = sorted(map(tuple, np.asarray(points, float)), key=lambda p: (-p[0], -p[1]))
+    pareto, top = [], -np.inf
+    for p in pts:
+        if p[1] > top:
+            pareto.append(np.array(p))
+            top = p[1]
+    chain: list[np.ndarray] = []
+    for p in reversed(pareto):
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            if (p[0] - a[0]) * (b[1] - a[1]) - (b[0] - a[0]) * (p[1] - a[1]) <= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    best = max(chain, key=lambda p: (p[0] - d[0]) * (p[1] - d[1]))
+    for a, b in zip(chain[:-1], chain[1:]):
+        s = (b[1] - a[1]) / (b[0] - a[0])
+        r = a[1] - s * a[0] - d[1]
+        x0 = min(max((s * d[0] - r) / (2.0 * s), a[0]), b[0])
+        y = np.array([x0, a[1] + s * (x0 - a[0])])
+        if (y[0] - d[0]) * (y[1] - d[1]) > (best[0] - d[0]) * (best[1] - d[1]):
+            best = y
+    return best
+
+
+def admissible_reach(u, c, x, tol):
+    """The largest w for which an admissible lottery of shift c pays at least w x.
+
+    u is (n, k), c a shift and x > 0 a payoff in shifted units.  Columns
+    giving every agent at least c_i - tol max_j u_ij are admissible, and
+    the scipy LP maximizes w subject to S q >= w x over lotteries q on
+    them, S the shifted utilities.  Returns 0 when no column is admissible.
+    """
+    u, c, x = (np.asarray(a, float) for a in (u, c, x))
+    ok = (u >= c[:, None] - tol * u.max(axis=1)[:, None]).all(axis=0)
+    if not ok.any():
+        return 0.0
+    S = np.maximum(u[:, ok] - c[:, None], 0.0)
+    n, m = S.shape
+    A = np.zeros((n + 2, m + 1))
+    A[:n, :m] = -S
+    A[:n, m] = x
+    A[n, :m] = 1.0
+    A[n + 1, :m] = -1.0
+    status, value, _ = lp_scipy(np.eye(m + 1)[m], A, np.concatenate([np.zeros(n), [1.0, -1.0]]))
+    if status != lp.OPTIMAL:  # pragma: no cover - w = 0 is feasible and w <= min S/x bounds it
+        raise lp.LpError(f"reach LP reported {status}")
+    return float(value)

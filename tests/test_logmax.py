@@ -5,7 +5,7 @@ import pytest
 from ccm import _logmax
 from ccm import market as mk
 
-from _oracles import damped_warm_start, newton_group, random_collective
+from _oracles import corpus_problem, damped_warm_start, newton_group, random_collective
 
 # Corpus problem 1 (seed 2026), shift cell 84 at 8 steps per axis.  Its
 # warm start leaves a support column at zero weight that the Newton step
@@ -21,10 +21,7 @@ BLOCKED = np.array(
 
 def _corpus_batch(index, steps):
     """The shifted utilities `sweep_lindahl_payoffs` solves for a corpus problem."""
-    rng = np.random.default_rng(2026)
-    for t in range(index + 1):
-        u = random_collective(rng, n=2 if t % 2 == 0 else 3)
-    P = mk.CollectiveProblem(u)
+    P = mk.CollectiveProblem(corpus_problem(index))
     reps = mk._unique_columns(P.u)
     grid = mk._shift_grid(P, steps)
     return np.maximum(P.u[:, reps][None, :, :] - grid[:, :, None], 0.0)
@@ -54,6 +51,36 @@ def _kkt_residual(C, lam):
     over = phi.max(axis=1) - n
     dev = np.abs(np.where(lam > 1e-10, phi - n, 0.0)).max(axis=1)
     return np.maximum(over, dev) / n
+
+
+def test_two_agent_cells_run_no_iterative_solve(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("two-agent cells take the closed form")
+
+    monkeypatch.setattr(_logmax, "_warm_start", forbidden)
+    monkeypatch.setattr(_logmax, "_newton_group", forbidden)
+    P = mk.CollectiveProblem(corpus_problem(34))
+    assert len(mk.sweep_lindahl_payoffs(P, 64)) > 100
+    assert mk.lindahl_from_nash(P, [0.5, 0.25]) is not None
+    lam, value, resid = _logmax.maximize_log_sum_batch(_corpus_batch(34, 64), tol=1e-11)
+    assert resid.max() <= 1e-11 and np.abs(lam.sum(axis=1) - 1).max() <= 1e-15
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_two_agent_blocks_do_not_change_the_pick(monkeypatch, block):
+    # 30 outcomes give 435 pairs, so small blocks split one cell's pairs and
+    # the tie pick runs across blocks.  Twins and collinear outcomes make ties.
+    rng = np.random.default_rng(8)
+    u = rng.integers(0, 17, size=(2, 30)) / 16.0
+    u[:, 10:14] = u[:, 0:4]
+    u[:, 14] = (u[:, 1] + u[:, 2]) / 2
+    shifts = rng.uniform(0, 0.5, size=(200, 2))
+    C = np.maximum(u[None] - shifts[:, :, None], 0.0)
+    C = C[(C.max(axis=2) > 0).all(axis=1)]
+    whole = _logmax.maximize_log_sum_batch(C)
+    monkeypatch.setattr(_logmax, "_PAIR_BLOCK", block)
+    for a, b in zip(whole, _logmax.maximize_log_sum_batch(C)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_blocked_column_converges_without_the_long_warm_start(monkeypatch):
@@ -86,7 +113,8 @@ def test_a_cells_lottery_does_not_depend_on_its_batch():
 
 @pytest.mark.parametrize("warm_iters", [300, 0])
 def test_residual_within_tolerance_on_random_batches(warm_iters):
-    # warm_iters=0 hands every cell to the Newton phase from the uniform lottery.
+    # warm_iters=0 hands every cell of three or more agents to the Newton
+    # phase from the uniform lottery; two-agent cells take the closed form.
     rng = np.random.default_rng(41)
     seen_single = seen_duplicate = False
     for _ in range(60):
@@ -204,10 +232,13 @@ def test_newton_assembly_equals_the_einsum_assembly_on_corpus_sweeps(monkeypatch
 
     monkeypatch.setattr(_logmax, "_newton_group", checked)
     rng = np.random.default_rng(2026)
-    # One-column supports skip Newton, so 13 problems reach over 40 groups.
-    for t in range(13):
-        n = 2 if t % 2 == 0 else 3
-        mk.sweep_lindahl_payoffs(mk.CollectiveProblem(random_collective(rng, n=n)), 64 if n == 2 else 8)
+    # Two-agent cells take the closed form and one-column supports skip
+    # Newton, so the 20 three-agent problems (odd index) among the first 40
+    # reach over 40 groups.
+    for t in range(40):
+        u = random_collective(rng, n=2 if t % 2 == 0 else 3)
+        if t % 2:
+            mk.sweep_lindahl_payoffs(mk.CollectiveProblem(u), 8)
     monkeypatch.undo()
     assert len(groups) > 40 and max(s for _, s, _ in groups) >= 4
 

@@ -6,7 +6,15 @@ from ccm import market as mk
 from ccm import polytope as pt
 from ccm import solutions as sol
 
-from _oracles import first_hits_loop, nash_allocation_grid_1d, random_collective, shift_certificate
+from _oracles import (
+    admissible_reach,
+    corpus_problem,
+    first_hits_loop,
+    nash_allocation_grid_1d,
+    nash_point_on_chain,
+    random_collective,
+    shift_certificate,
+)
 
 TOWN = mk.CollectiveProblem([[1, 0], [0, 1]])
 CAKE_MARKET = mk.CollectiveProblem([[1, 0.5, 0], [0, 1, 1]])
@@ -194,9 +202,8 @@ class TestSweep:
             assert np.abs(pays - target).max(axis=1).min() <= 2e-2
 
     def test_twin_columns_reach_the_end_of_the_equitable_segment(self):
-        # At c = (0.5, 0) outcomes 1 and 2 both shift to (0, 1).  The solver
-        # splits the weight between them, and outcome 2 pays agent 0 less
-        # than c_0, so the weight moves to outcome 1.
+        # At c = (0.5, 0) outcomes 1 and 2 both shift to (0, 1), and outcome
+        # 2 pays agent 0 less than c_0, so the weight must end on outcome 1.
         certs = mk.sweep_lindahl_payoffs(CAKE_MARKET, 8)
         (a, b), = sol.equitable_set_2d(mk.bargaining_of(CAKE_MARKET))
         assert np.allclose(b, [0.75, 0.5], rtol=0, atol=1e-12)
@@ -218,6 +225,44 @@ class TestSweep:
         assert mk.admissible(P, cert.c, cert.q)
         sweep = np.array([c.payoffs for c in mk.sweep_lindahl_payoffs(P, 64)])
         assert np.abs(sweep - cert.payoffs).max(axis=1).min() <= mk.PAYOFF_DEDUP
+
+    def test_a_flat_optimal_face_keeps_its_nearest_admissible_pair(self):
+        # Corpus problem 34 at 64 steps, cell 3456: c = (27/32, 0) shifts
+        # outcomes 3, 4 and 5 to (1/32, 3/4), (5/32, 1/4) and (0, 7/8), on
+        # the line y = 7/8 - 4x through the Nash point (7/64, 7/16).  Outcome
+        # 5 pays agent 0 less than c_0; the pair nearest the Nash point,
+        # outcomes 3 and 4, is admissible.
+        P = mk.CollectiveProblem(corpus_problem(34))
+        c = mk._shift_grid(P, 64)[3456]
+        assert np.array_equal(c, [27 / 32, 0.0])
+        S = mk.shifted_utilities(P, c).u
+        assert np.array_equal(S[:, 3:].T, [[1 / 32, 3 / 4], [5 / 32, 1 / 4], [0, 7 / 8]])
+        kept = [cert for cert in mk.sweep_lindahl_payoffs(P, 64) if np.array_equal(cert.c, c)]
+        cert = mk.lindahl_from_nash(P, c)
+        assert len(kept) == 1 and cert is not None
+        for q in (kept[0].q, cert.q):
+            assert np.flatnonzero(q).tolist() == [3, 4]
+        assert np.allclose(cert.payoffs - c, [7 / 64, 7 / 16], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("index", [34, 172])
+    def test_every_rejected_shift_has_no_admissible_nash_lottery(self, index, monkeypatch):
+        # A shift the sweep drops must have no admissible lottery at all that
+        # pays its Nash point, by an LP over the admissible outcomes.
+        P = mk.CollectiveProblem(corpus_problem(index))
+        masks = []
+        admit = mk._admit_twins
+        monkeypatch.setattr(mk, "_admit_twins", lambda *a: masks.append(admit(*a)) or masks[-1])
+        mk.sweep_lindahl_payoffs(P, 64)
+        grid = mk._shift_grid(P, 64)
+
+        def reach(c):
+            x = nash_point_on_chain(np.maximum(P.u - c[:, None], 0.0).T, np.zeros(2))
+            return admissible_reach(P.u, c, x, mk.EPS_LP)
+
+        (live,) = masks
+        assert (~live).sum() > 1000
+        assert max(reach(c) for c in grid[~live]) < 1.0 - 1e-9
+        assert min(reach(c) for c in grid[live][::64]) >= 1.0 - 1e-12
 
     def test_all_sweep_payoffs_are_equitable(self):
         rng = np.random.default_rng(25)

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ccm.tolerances import EPS_GEOM
 from _oracles import (
     frontier_mixes,
     nash_point_grid_2d,
+    nash_point_on_chain,
     random_collective,
     random_normalized_polytope,
     reaches_witness_lp,
@@ -63,6 +65,19 @@ class TestNashSolution:
     def test_degenerate_set_rejected(self):
         with pytest.raises(pt.DegenerateSetError):
             sol.nash_solution(pt.coco_hull([[1, 1]]))
+
+    @pytest.mark.parametrize("m", [250, 400, 1000, 4000])
+    def test_large_quarter_circles_against_the_chain_edges(self, m):
+        # Only the frontier chain's edges are candidates, so m = 4000 stays
+        # fast; every pair of points would be 8 million candidates.
+        t = np.linspace(0.0, np.pi / 2, m)
+        G = np.column_stack([np.cos(t), np.sin(t)])
+        B = pt.Polytope(G)
+        start = time.perf_counter()
+        x = sol.nash_solution(B)
+        elapsed = time.perf_counter() - start
+        assert np.abs(x - nash_point_on_chain(G, G.min(axis=0))).max() <= 1e-12
+        assert m < 4000 or elapsed < 0.1
 
 
 class TestSupportingSimplex:
