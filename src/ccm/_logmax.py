@@ -16,15 +16,19 @@ For two agents the optimum lies on one segment between two columns,
 so it has a closed form (`_segment_optima`, Nash 1950): every column
 and every column pair is a candidate, and on the pair (a, a + d) the
 product (a_0 + t d_0)(a_1 + t d_1) peaks at
-t* = -(d_0 a_1 + d_1 a_0) / (2 d_0 d_1) when d_0 d_1 < 0.  Among the
-candidates within rounding of the best product the shortest segment
-wins, so on a flat optimal face the lottery sits on the columns nearest
-the Nash point.  Pairs are evaluated in blocks of at most `_PAIR_BLOCK`
-(cell, pair) entries, so memory stays bounded at any m.  A caller that
-knows a set's frontier chain passes its consecutive edges as the only
-pairs (`solutions.nash_solution`), in O(m) after the chain's sort.  Two
-agents run no ascent and no Newton step; the KKT residual re-verifies
-every cell, as for any n.
+t* = -(d_0 a_1 + d_1 a_0) / (2 d_0 d_1) when d_0 d_1 < 0.  Near the
+peak the product is flat to second order, so products alone cannot
+tell the Nash point from a column 1e-8 off it; the KKT conditions can.
+A column therefore beats the segments only if it meets them within
+`_TIE`.  The Nash point is unique, so candidates tie when they land
+on it: among those whose point is within rounding of the best point
+the shortest segment wins, and on a flat optimal face the lottery sits
+on the columns nearest the Nash point.  Pairs are evaluated in blocks
+of at most `_PAIR_BLOCK` (cell, pair) entries, so memory stays bounded
+at any m.  A caller that knows a set's frontier chain passes its
+consecutive edges as the only pairs (`solutions.nash_solution`), in
+O(m) after the chain's sort.  Two agents run no ascent and no Newton
+step; the KKT residual re-verifies every cell, as for any n.
 
 For one agent, and for three or more, the method has two phases, and
 convergence is decided per cell:
@@ -66,10 +70,13 @@ _SUPPORT_ROUNDS = 10
 _NEWTON_ITERS = 40
 # (cell, segment) entries per block of the two-agent closed form.
 _PAIR_BLOCK = 4096
-# Products within this relative distance of a cell's best tie with it.
-# The 200 corpus sweeps pick the same lotteries for any value from 4e-16
-# to 1e-10; at 0, rounding hides the flat faces.
-_TIE = 1e-14
+# Candidates whose point is within this relative distance of the best
+# candidate's point, in every coordinate, tie with it.  A tie then meets
+# the KKT tolerance whenever the best candidate does.  A column must meet
+# the KKT conditions within it to beat the segments.  The 200 corpus
+# sweeps keep the same certificates for any value from 4e-16 to 1e-6; at
+# 1e-16 and below, rounding hides the flat faces.
+_TIE = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -205,11 +212,11 @@ def _support_groups(supp):
 
 
 def _segment_points(U, J, K):
-    """Peak products, squared lengths and t* of the segments (J, K) in each cell of U.
+    """Peak points, products and squared lengths, and t*, of the segments (J, K) in each cell of U.
 
-    U is (2, m, cells) and each result (segments, cells).  A segment whose
-    peak is not strictly inside it gets product -inf: its clipped peak is
-    an endpoint, a column.
+    U is (2, m, cells); the points are (2, segments, cells) and the rest
+    (segments, cells).  A segment whose peak is not strictly inside it
+    gets product -inf: its clipped peak is an endpoint, a column.
     """
     a = U[:, J]
     d = U[:, K] - a
@@ -219,7 +226,13 @@ def _segment_points(U, J, K):
         x = a + t * d
         inside = (dd < 0) & (t > 0) & (t < 1)
         prod = np.where(inside, x[0] * x[1], -np.inf)
-    return prod, d[0] * d[0] + d[1] * d[1], t
+    return x, prod, d[0] * d[0] + d[1] * d[1], t
+
+
+def _lands_on(x, at):
+    """Whether the points x lie within `_TIE` of the points at in every coordinate; both (2, ...)."""
+    close = np.abs(x - at) <= _TIE * at
+    return close[0] & close[1]
 
 
 def _pair_blocks(b, p):
@@ -233,26 +246,58 @@ def _pair_blocks(b, p):
             yield slice(lo, lo + rows), slice(s, s + step)
 
 
+def _nash_points(U, J, K):
+    """Each cell's log-welfare optimum over the columns and segments (J, K) of U, as a (2, cells) point.
+
+    A pass over the blocks finds each cell's best segment.  The best
+    column takes its place when it reaches at least that product and
+    meets the KKT conditions within `_TIE`; a column that reaches the
+    product but fails them leaves the race, and the next column is tried.
+    """
+    b = U.shape[2]
+    best = np.full(b, -np.inf)
+    at = np.zeros((2, b))
+    for cells, seg in _pair_blocks(b, len(J)):
+        x, prod, _, _ = _segment_points(U[:, :, cells], J[seg], K[seg])
+        k = prod.argmax(axis=0)
+        r = np.flatnonzero(prod[k, np.arange(len(k))] > best[cells])
+        k, rows = k[r], cells.start + r
+        best[rows] = prod[k, r]
+        at[:, rows] = x[:, k, r]
+    single = U[0] * U[1]
+    every = np.arange(b)
+    live = np.ones(b, dtype=bool)
+    while live.any():
+        top = single.argmax(axis=0)
+        value = single[top, every]
+        live &= (value >= best) & (value > -np.inf)
+        point = U[:, top, every]
+        # phi at the column itself is 2, so the largest phi is its KKT residual.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = live & ((U[0] / point[0] + U[1] / point[1]).max(axis=0) <= 2.0 * (1.0 + _TIE))
+        best[ok] = value[ok]
+        at[:, ok] = point[:, ok]
+        live &= ~ok
+        single[top[live], every[live]] = -np.inf
+    return at
+
+
 def _segment_optima(C, J, K, tol):
     """Two-agent log-welfare optima over the columns and the segments (J[p], K[p]).
 
     C is (2, m, cells).  Rows are scaled to a largest entry of one, so
-    the pick does not depend on per-agent scale.  A first pass over the
-    blocks finds each cell's best product; a second picks, among the
-    candidates within `_TIE` of it, the shortest: a column (length zero,
-    lowest index first), else the first of the shortest segments, whose
-    lottery is (1 - t*, t*).  The KKT residual re-verifies every cell.
-    Returns (lam, value, residual) as `maximize_log_sum_batch` does.
+    the pick does not depend on per-agent scale.  With each cell's best
+    point from `_nash_points`, a second pass over the blocks picks, among
+    the candidates that land within `_TIE` of it, the shortest: a column
+    (length zero, lowest index first), else the first of the shortest
+    segments, whose lottery is (1 - t*, t*).  The KKT residual
+    re-verifies every cell.  Returns (lam, value, residual) as
+    `maximize_log_sum_batch` does.
     """
     _, m, b = C.shape
     U = C / C.max(axis=1, keepdims=True)
-    single = U[0] * U[1]
-    best = single.max(axis=0)
-    for cells, seg in _pair_blocks(b, len(J)):
-        prod, _, _ = _segment_points(U[:, :, cells], J[seg], K[seg])
-        best[cells] = np.maximum(best[cells], prod.max(axis=0))
-    near = best * (1.0 - _TIE)
-    hit = single >= near
+    at = _nash_points(U, J, K)
+    hit = _lands_on(U, at[:, None])
     lam = np.zeros((m, b))
     done = np.flatnonzero(hit.any(axis=0))
     lam[hit[:, done].argmax(axis=0), done] = 1.0
@@ -261,8 +306,8 @@ def _segment_optima(C, J, K, tol):
     pick = np.zeros(b, dtype=np.intp)
     t_pick = np.zeros(b)
     for cells, seg in _pair_blocks(b, len(J)):
-        prod, length, t = _segment_points(U[:, :, cells], J[seg], K[seg])
-        length[prod < near[cells]] = np.inf
+        x, prod, length, t = _segment_points(U[:, :, cells], J[seg], K[seg])
+        length[(prod == -np.inf) | ~_lands_on(x, at[:, None, cells])] = np.inf
         k = length.argmin(axis=0)
         r = np.flatnonzero(length[k, np.arange(len(k))] < shortest[cells])
         k, rows = k[r], cells.start + r

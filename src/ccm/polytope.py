@@ -100,6 +100,8 @@ class Polytope:
 
         Rows of A are nonnegative and sum to one, and b_k = max_g A_k.g.
         """
+        if self.dim == 2:
+            return _chain_facets(self.frontier)
         return _facets(self.generators)
 
     @cached_property
@@ -153,9 +155,7 @@ def _subsets(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _facets(G: np.ndarray):
-    """Facet rows of conv(G) - R^n_+: from the frontier chain for n = 2, else by subsets."""
-    if G.shape[1] == 2:
-        return _chain_facets(_frontier_chain(G))
+    """Facet rows of conv(G) - R^n_+ for three or more agents, by subsets of the maximal rows."""
     return _subset_facets(_maximal_rows(G))
 
 

@@ -102,6 +102,16 @@ class TestNashAllocation:
         assert np.allclose(q, [0.25, 0.75], atol=1e-9)
         assert np.allclose(np.asarray(u) @ q, [1.25, 2.5], atol=1e-9)
 
+    @pytest.mark.parametrize("delta", [1e-9, 1e-7, 1e-5])
+    def test_column_next_to_an_interior_optimum_keeps_a_small_weight(self, delta):
+        # The columns (1, 1) and (0, 2 + delta): the Nash lottery puts
+        # t = delta / (2 (1 + delta)) on the second, where the product is
+        # flat to about delta^2 against the first alone.
+        u = np.array([[1.0, 0.0], [1.0, 2.0 + delta]])
+        q = mk.nash_allocation(mk.CollectiveProblem(u))
+        t = delta / (2.0 * (1.0 + delta))
+        assert np.abs(q - [1.0 - t, t]).max() <= 1e-15
+
     def test_cake_market_concentrates_on_split_column(self):
         q = mk.nash_allocation(CAKE_MARKET)
         assert np.allclose(CAKE_MARKET.u @ q, [0.5, 1.0], atol=1e-9)

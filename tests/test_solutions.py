@@ -1,5 +1,4 @@
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -67,17 +66,33 @@ class TestNashSolution:
             sol.nash_solution(pt.coco_hull([[1, 1]]))
 
     @pytest.mark.parametrize("m", [250, 400, 1000, 4000])
-    def test_large_quarter_circles_against_the_chain_edges(self, m):
+    def test_large_quarter_circles_against_the_chain_edges(self, monkeypatch, m):
         # Only the frontier chain's edges are candidates, so m = 4000 stays
         # fast; every pair of points would be 8 million candidates.
         t = np.linspace(0.0, np.pi / 2, m)
         G = np.column_stack([np.cos(t), np.sin(t)])
         B = pt.Polytope(G)
-        start = time.perf_counter()
+        seen = []
+        segment_optima = sol._segment_optima
+
+        def recorded(C, J, K, tol):
+            seen.append((C.shape[1], len(J)))
+            return segment_optima(C, J, K, tol)
+
+        monkeypatch.setattr(sol, "_segment_optima", recorded)
         x = sol.nash_solution(B)
-        elapsed = time.perf_counter() - start
+        assert seen == [(len(B.frontier), len(B.frontier) - 1)]
         assert np.abs(x - nash_point_on_chain(G, G.min(axis=0))).max() <= 1e-12
-        assert m < 4000 or elapsed < 0.1
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-7, 1e-5])
+    def test_vertex_next_to_an_interior_optimum_does_not_tie(self, delta):
+        # On the edge (1 - t, 1 + t (1 + delta)) the product peaks at
+        # t = delta / (2 (1 + delta)), about delta / 2 from the vertex (1, 1),
+        # where the product is flat to about delta^2.
+        G = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 2.0 + delta]])
+        x = sol.nash_solution(pt.coco_hull(G))
+        t = delta / (2.0 * (1.0 + delta))
+        assert np.abs(x - [1.0 - t, 1.0 + t * (1.0 + delta)]).max() <= 1e-15
 
 
 class TestSupportingSimplex:
