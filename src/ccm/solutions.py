@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from ._logmax import _segment_optima, maximize_log_sum_batch
+from ._logmax import _support_optima, maximize_log_sum_batch
 from .polytope import (
     DegenerateSetError,
     Polytope,
@@ -87,7 +87,7 @@ def nash_solution(B: Polytope) -> np.ndarray:
     d = B.disagreement
     if B.dim == 2:
         G, edge = B.frontier, np.arange(len(B.frontier) - 1)
-        lam, _, _ = _segment_optima((G - d).T[:, :, None], edge, edge + 1, EPS_OPT)
+        lam, _, _ = _support_optima((G - d).T[:, :, None], EPS_OPT, (edge, edge + 1))
     else:
         G = B.generators
         lam, _, _ = maximize_log_sum_batch((G - d).T[None], tol=EPS_OPT)

@@ -680,9 +680,13 @@ def nash_point_on_chain(points, d):
     """The maximizer of (x_0 - d_0)(x_1 - d_1) over conv(points), for two agents.
 
     Points no other point weakly dominates are found by one scan in
-    decreasing x_0, their upper concave chain by a monotone chain, and on
-    the edge from a to b, where x_1 - d_1 = r + s x_0, the product's
-    stationary x_0 = (s d_0 - r) / (2 s) is clipped to [a_0, b_0].
+    decreasing x_0, their upper concave chain by a monotone chain.  On the
+    edge from a to b, where x_1 - d_1 = r + s x_0, the product is stationary
+    at x_0 = (s d_0 - r) / (2 s).  The log of the product is concave along
+    the chain, so the maximizer is that x_0 clipped to [a_0, b_0] on the
+    first edge, in increasing x_0, whose stationary x_0 lies left of b_0;
+    with no such edge it is the chain's last vertex.  No products are
+    compared: near the peak they are flat to second order.
     """
     pts = sorted(map(tuple, np.asarray(points, float)), key=lambda p: (-p[0], -p[1]))
     pareto, top = [], -np.inf
@@ -699,15 +703,14 @@ def nash_point_on_chain(points, d):
             else:
                 break
         chain.append(p)
-    best = max(chain, key=lambda p: (p[0] - d[0]) * (p[1] - d[1]))
     for a, b in zip(chain[:-1], chain[1:]):
         s = (b[1] - a[1]) / (b[0] - a[0])
         r = a[1] - s * a[0] - d[1]
-        x0 = min(max((s * d[0] - r) / (2.0 * s), a[0]), b[0])
-        y = np.array([x0, a[1] + s * (x0 - a[0])])
-        if (y[0] - d[0]) * (y[1] - d[1]) > (best[0] - d[0]) * (best[1] - d[1]):
-            best = y
-    return best
+        x0 = (s * d[0] - r) / (2.0 * s)
+        if x0 < b[0]:
+            x0 = max(x0, a[0])
+            return np.array([x0, a[1] + s * (x0 - a[0])])
+    return chain[-1]
 
 
 def admissible_reach(u, c, x, tol):

@@ -7,8 +7,9 @@ from ccm import market as mk
 
 from _oracles import corpus_problem, damped_warm_start, newton_group, random_collective
 
-# Corpus problem 1 (seed 2026), shift cell 84 at 8 steps per axis.  Its
-# warm start leaves a support column at zero weight that the Newton step
+# Corpus problem 1 (seed 2026), shift cell 84 at 8 steps per axis.  With a
+# fourth agent who values every outcome alike (the optimum stays put), the
+# warm start leaves support columns at zero weight that the Newton step
 # wants to push negative.
 BLOCKED = np.array(
     [
@@ -17,14 +18,19 @@ BLOCKED = np.array(
         [3 / 16, 5 / 16, 0, 1 / 16, 3 / 16, 7 / 16],
     ]
 )
+BLOCKED_FOUR = np.vstack([BLOCKED, np.ones(6)])
 
 
-def _corpus_batch(index, steps):
-    """The shifted utilities `sweep_lindahl_payoffs` solves for a corpus problem."""
-    P = mk.CollectiveProblem(corpus_problem(index))
+def _shift_batch(u, steps):
+    """The shifted utilities `sweep_lindahl_payoffs` solves for utilities u."""
+    P = mk.CollectiveProblem(u)
     reps = mk._unique_columns(P.u)
     grid = mk._shift_grid(P, steps)
     return np.maximum(P.u[:, reps][None, :, :] - grid[:, :, None], 0.0)
+
+
+def _corpus_batch(index, steps):
+    return _shift_batch(corpus_problem(index), steps)
 
 
 def _scaled_batches(seed, count):
@@ -83,20 +89,108 @@ def test_two_agent_blocks_do_not_change_the_pick(monkeypatch, block):
         assert a.tobytes() == b.tobytes()
 
 
+def test_three_agent_cells_run_no_iterative_solve(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("three-agent cells take the closed form")
+
+    monkeypatch.setattr(_logmax, "_warm_start", forbidden)
+    monkeypatch.setattr(_logmax, "_newton_group", forbidden)
+    P = mk.CollectiveProblem(corpus_problem(121))
+    certs = mk.sweep_lindahl_payoffs(P, 8)
+    assert len(certs) > 50
+    assert all(mk.lindahl_from_nash(P, cert.c) is not None for cert in certs[::10])
+    lam, value, resid = _logmax.maximize_log_sum_batch(_corpus_batch(1, 8), tol=1e-11)
+    assert resid.max() <= 1e-11 and np.abs(lam.sum(axis=1) - 1).max() <= 1e-15
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_three_agent_blocks_do_not_change_the_pick(monkeypatch, block):
+    # Small blocks split one cell's segments and triangles, so the race and
+    # the tie pick run across blocks.  Outcomes 0-3 are coplanar, 3 at the
+    # centre of the others; 4 and 5 are twins of 0 and 3; 6-8 lie below
+    # the plane.  Every cell's optimum is on the plane, where 4 or 6
+    # triangles land on it, twins counted.
+    u = np.array([[3, 2, 1], [1, 3, 2], [2, 1, 3], [2, 2, 2], [3, 2, 1], [2, 2, 2]]).T / 4.0
+    u = np.hstack([u, np.array([[3.6, 1.2, 0.4], [0.4, 3.6, 1.2], [1.2, 0.4, 3.6]]).T / 4.0])
+    shifts = np.random.default_rng(9).uniform(0, 0.25, size=(60, 3))
+    C = np.maximum(u[None] - shifts[:, :, None], 0.0)
+    whole = _logmax.maximize_log_sum_batch(C)
+    assert ((whole[0] > 0).sum(axis=1) == 3).all()
+    monkeypatch.setattr(_logmax, "_PAIR_BLOCK", block)
+    for a, b in zip(whole, _logmax.maximize_log_sum_batch(C)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_working_sets_give_the_pick_of_every_support(monkeypatch):
+    # Cells with more than _WORK undominated columns solve on working sets
+    # grown by the columns that break the KKT conditions; a working set as
+    # large as the cell takes every support at once.  The octant batch has
+    # 52-60 undominated columns per cell.  In the cluster, the 20 columns
+    # of largest product lie just below the plane through three far
+    # columns, whose centre is the Nash point.
+    rng = np.random.default_rng(12)
+    sphere = np.abs(rng.normal(size=(3, 60)))
+    sphere /= np.linalg.norm(sphere, axis=0)
+    octant = np.maximum(sphere[None] - rng.uniform(0, 0.3, size=(40, 3, 1)), 0.0)
+    near = 1 / 3 + rng.uniform(-0.02, 0.02, size=(3, 20))
+    near -= (near.sum(axis=0) - 0.99) / 3
+    far = np.array([[18, 1, 1], [1, 18, 1], [1, 1, 18]]) / 20
+    cluster = np.hstack([near, far])[None]
+    rounds = []
+    nash_points = _logmax._nash_points
+
+    def recorded(U, count, levels):
+        rounds.append(U.shape[1])
+        return nash_points(U, count, levels)
+
+    monkeypatch.setattr(_logmax, "_nash_points", recorded)
+    for C in (octant, cluster):
+        rounds.clear()
+        grown = _logmax.maximize_log_sum_batch(C)
+        assert len(rounds) > 1 and rounds[0] == _logmax._WORK
+        with monkeypatch.context() as m:
+            m.setattr(_logmax, "_WORK", C.shape[2])
+            for a, b in zip(grown, _logmax.maximize_log_sum_batch(C)):
+                assert a.tobytes() == b.tobytes()
+    assert np.abs(cluster[0] @ grown[0][0] - 1 / 3).max() <= 1e-15
+
+
+def test_the_spurious_segment_root_is_rejected():
+    # Corpus problem 1 at 8 steps, cell 371: the optimum is outcomes 1 and 2
+    # at weights (2/3, 1/3).  Outcome 2 pays agents 1 and 2 nothing, so the
+    # segment's quadratic also vanishes at t = 1, where its computed root
+    # lands just inside the segment.
+    C = _corpus_batch(1, 8)[371]
+    assert np.array_equal(C[1:, 2], [0.0, 0.0])
+    lam, _, resid = _logmax.maximize_log_sum_batch(C[None])
+    assert np.flatnonzero(lam[0]).tolist() == [1, 2]
+    assert np.abs(lam[0, 1:3] - [2 / 3, 1 / 3]).max() <= 1e-15 and resid[0] <= 1e-15
+
+
 def test_blocked_column_converges_without_the_long_warm_start(monkeypatch):
     assert np.array_equal(_corpus_batch(1, 8)[84], BLOCKED)
-    calls = []
-    warm_start = _logmax._warm_start
+    calls, dropped = [], []
+    warm_start, newton = _logmax._warm_start, _logmax._newton_group
 
     def recorded(C, iters, tol):
         calls.append(iters)
         return warm_start(C, iters, tol)
 
+    def blocked(Cg, lamS):
+        out = newton(Cg, lamS.copy())
+        dropped.append(int(((lamS > 0) & (out == 0)).sum()))
+        return out
+
     monkeypatch.setattr(_logmax, "_warm_start", recorded)
-    lam, _, resid = _logmax.maximize_log_sum_batch(BLOCKED[None], warm_iters=40)
-    assert calls == [40]
-    assert resid[0] <= 1e-11 and _kkt_residual(BLOCKED[None], lam)[0] <= 1e-11
-    assert np.nonzero(lam[0] > 1e-8)[0].tolist() == [3, 5]
+    monkeypatch.setattr(_logmax, "_newton_group", blocked)
+    for C, warm in ((BLOCKED_FOUR, [40]), (BLOCKED, [])):
+        calls.clear()
+        lam, _, resid = _logmax.maximize_log_sum_batch(C[None], warm_iters=40)
+        assert calls == warm
+        assert resid[0] <= 1e-11 and _kkt_residual(C[None], lam)[0] <= 1e-11
+        assert np.nonzero(lam[0] > 1e-8)[0].tolist() == [3, 5]
+    # The three-agent cell takes the closed form, with no Newton step.
+    assert len(dropped) == 1 and dropped[0] > 0
 
 
 def test_a_cells_lottery_does_not_depend_on_its_batch():
@@ -113,8 +207,9 @@ def test_a_cells_lottery_does_not_depend_on_its_batch():
 
 @pytest.mark.parametrize("warm_iters", [300, 0])
 def test_residual_within_tolerance_on_random_batches(warm_iters):
-    # warm_iters=0 hands every cell of three or more agents to the Newton
-    # phase from the uniform lottery; two-agent cells take the closed form.
+    # warm_iters=0 hands every cell of one agent or of four to the Newton
+    # phase from the uniform lottery; two- and three-agent cells take the
+    # closed form.
     rng = np.random.default_rng(41)
     seen_single = seen_duplicate = False
     for _ in range(60):
@@ -150,7 +245,7 @@ def test_one_column_supports_skip_newton(monkeypatch):
         return newton(Cg, lamS)
 
     monkeypatch.setattr(_logmax, "_newton_group", recorded)
-    C = _corpus_batch(3, 8)
+    C = _shift_batch(random_collective(np.random.default_rng(2026), n=4), 5)
     lam, _, resid = _logmax.maximize_log_sum_batch(C)
     single = np.flatnonzero((lam != 0).sum(axis=1) == 1)
     assert len(single) > 100 and min(sizes) >= 2
@@ -232,13 +327,10 @@ def test_newton_assembly_equals_the_einsum_assembly_on_corpus_sweeps(monkeypatch
 
     monkeypatch.setattr(_logmax, "_newton_group", checked)
     rng = np.random.default_rng(2026)
-    # Two-agent cells take the closed form and one-column supports skip
-    # Newton, so the 20 three-agent problems (odd index) among the first 40
-    # reach over 40 groups.
-    for t in range(40):
-        u = random_collective(rng, n=2 if t % 2 == 0 else 3)
-        if t % 2:
-            mk.sweep_lindahl_payoffs(mk.CollectiveProblem(u), 8)
+    # Two- and three-agent cells take the closed form and one-column supports
+    # skip Newton, so the sweeps are of four agents.
+    for _ in range(10):
+        mk.sweep_lindahl_payoffs(mk.CollectiveProblem(random_collective(rng, n=4)), 5)
     monkeypatch.undo()
     assert len(groups) > 40 and max(s for _, s, _ in groups) >= 4
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccm import lp
+from ccm import _logmax, lp
 from ccm import market as mk
 from ccm import polytope as pt
 from ccm import solutions as sol
@@ -111,6 +111,27 @@ class TestNashAllocation:
         q = mk.nash_allocation(mk.CollectiveProblem(u))
         t = delta / (2.0 * (1.0 + delta))
         assert np.abs(q - [1.0 - t, t]).max() <= 1e-15
+
+    def test_many_two_agent_outcomes_pair_only_the_undominated(self, monkeypatch):
+        # 4096 random outcomes, of which K = 10 no other outcome dominates.
+        # The best point evaluates the K (K - 1) / 2 pairs of those, not the
+        # 8.4 million pairs of all outcomes; the Nash point is one outcome,
+        # which the pick finds among the columns.
+        u = np.random.default_rng(0).uniform(0, 1, (2, 4096))
+        K = sum(not ((u >= u[:, [j]]).all(axis=0) & (u != u[:, [j]]).any(axis=0)).any() for j in range(4096))
+        pairs = []
+        candidates = _logmax._candidates
+
+        def recorded(U, S):
+            if len(S) == 2:
+                assert S.max() < K
+                pairs.append(S.shape[1] * U.shape[2])
+            return candidates(U, S)
+
+        monkeypatch.setattr(_logmax, "_candidates", recorded)
+        q = mk.nash_allocation(mk.CollectiveProblem(u))
+        assert K == 10 and sum(pairs) <= K * (K - 1) // 2 and np.count_nonzero(q) == 1
+        assert np.abs(u @ q - nash_point_on_chain(u.T, np.zeros(2))).max() <= 1e-12
 
     def test_cake_market_concentrates_on_split_column(self):
         q = mk.nash_allocation(CAKE_MARKET)
@@ -253,6 +274,25 @@ class TestSweep:
         for q in (kept[0].q, cert.q):
             assert np.flatnonzero(q).tolist() == [3, 4]
         assert np.allclose(cert.payoffs - c, [7 / 64, 7 / 16], rtol=0, atol=1e-15)
+
+    def test_a_flat_three_agent_face_keeps_its_smallest_admissible_support(self):
+        # Corpus problem 121 at 8 steps, c = (3/8, 7k/64, 7k/64) for k = 1..4:
+        # outcome 3 shifts to the midpoint of outcomes 0 and 4, all three
+        # paying agent 0 nothing, and the Nash point mixes outcome 1 with that
+        # line.  Outcomes 0 and 4 pay agent 0 less than c_0; the smallest
+        # support, outcomes 1 and 3, is admissible.
+        P = mk.CollectiveProblem(corpus_problem(121))
+        kept = {tuple(cert.c): cert for cert in mk.sweep_lindahl_payoffs(P, 8)}
+        for k in range(1, 5):
+            c = np.array([3 / 8, 7 * k / 64, 7 * k / 64])
+            S = mk.shifted_utilities(P, c).u
+            assert np.array_equal(S[:, 3], (S[:, 0] + S[:, 4]) / 2) and S[0, [0, 3, 4]].max() == 0
+            cert = mk.lindahl_from_nash(P, c)
+            assert tuple(c) in kept and cert is not None
+            for q in (kept[tuple(c)].q, cert.q):
+                assert np.flatnonzero(q).tolist() == [1, 3]
+            assert mk.verify_lindahl(P, cert.p, cert.q).passed
+            assert np.abs(cert.payoffs - kept[tuple(c)].payoffs).max() <= 1e-15
 
     @pytest.mark.parametrize("index", [34, 172])
     def test_every_rejected_shift_has_no_admissible_nash_lottery(self, index, monkeypatch):

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from ccm import _logmax
 from ccm import market as mk
 from ccm import polytope as pt
 from ccm import solutions as sol
@@ -73,16 +74,36 @@ class TestNashSolution:
         G = np.column_stack([np.cos(t), np.sin(t)])
         B = pt.Polytope(G)
         seen = []
-        segment_optima = sol._segment_optima
+        support_optima = sol._support_optima
 
-        def recorded(C, J, K, tol):
-            seen.append((C.shape[1], len(J)))
-            return segment_optima(C, J, K, tol)
+        def recorded(C, tol, edges):
+            seen.append((C.shape[1], len(edges[0])))
+            return support_optima(C, tol, edges)
 
-        monkeypatch.setattr(sol, "_segment_optima", recorded)
+        monkeypatch.setattr(sol, "_support_optima", recorded)
         x = sol.nash_solution(B)
         assert seen == [(len(B.frontier), len(B.frontier) - 1)]
         assert np.abs(x - nash_point_on_chain(G, G.min(axis=0))).max() <= 1e-12
+
+    @pytest.mark.parametrize("m", [400, 800])
+    def test_many_points_of_the_sphere_octant(self, monkeypatch, m):
+        # No point dominates another, so every triple of the m points would
+        # be a candidate; the working sets evaluate a few hundred triangles.
+        # The KKT conditions at the returned point certify it.
+        G = np.abs(np.random.default_rng(0).normal(size=(m, 3)))
+        G = np.vstack([G / np.linalg.norm(G, axis=1, keepdims=True), np.zeros(3)])
+        triangles = []
+        candidates = _logmax._candidates
+
+        def recorded(U, S):
+            if len(S) == 3:
+                triangles.append(S.shape[1] * U.shape[2])
+            return candidates(U, S)
+
+        monkeypatch.setattr(_logmax, "_candidates", recorded)
+        x = sol.nash_solution(pt.Polytope(G))
+        assert (G / x).sum(axis=1).max() <= 3.0 * (1.0 + 1e-12)
+        assert 0 < sum(triangles) <= 10**4
 
     @pytest.mark.parametrize("delta", [1e-9, 1e-7, 1e-5])
     def test_vertex_next_to_an_interior_optimum_does_not_tie(self, delta):
@@ -90,9 +111,9 @@ class TestNashSolution:
         # t = delta / (2 (1 + delta)), about delta / 2 from the vertex (1, 1),
         # where the product is flat to about delta^2.
         G = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 2.0 + delta]])
-        x = sol.nash_solution(pt.coco_hull(G))
         t = delta / (2.0 * (1.0 + delta))
-        assert np.abs(x - [1.0 - t, 1.0 + t * (1.0 + delta)]).max() <= 1e-15
+        for x in (sol.nash_solution(pt.coco_hull(G)), nash_point_on_chain(G, G.min(axis=0))):
+            assert np.abs(x - [1.0 - t, 1.0 + t * (1.0 + delta)]).max() <= 1e-15
 
 
 class TestSupportingSimplex:
