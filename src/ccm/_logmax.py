@@ -525,6 +525,9 @@ def _nash_face(C, scale, keep, edges):
         at = _nash_points(U, count, levels)
         with np.errstate(divide="ignore", invalid="ignore"):
             phi = _gradients(C, at * scale[:, 0])
+        # A working set with no positive point (all its products zero)
+        # leaves at = 0: then phi is infinite or NaN, and every column grows.
+        phi[np.isnan(phi)] = np.inf
         grow = keep & ~work & (phi > n * (1.0 + _TIE))
         if not grow.any():
             return at, keep & (phi >= n * (1.0 - _FACE))
@@ -548,13 +551,13 @@ def _gather(C, scale, keep):
 def _compact(keep):
     """(K, cells) indices of each cell's kept columns in column order, and their counts.
 
-    keep is an (m, cells) mask and K the largest count; shorter cells are
-    padded with column 0.
+    keep is an (m, cells) mask and K the largest count, at least one;
+    shorter cells are padded with column 0.
     """
     cells, cols = np.nonzero(keep.T)
     count = np.bincount(cells, minlength=keep.shape[1])
     first = np.cumsum(count) - count
-    idx = np.zeros((count.max(), keep.shape[1]), dtype=np.intp)
+    idx = np.zeros((max(count.max(), 1), keep.shape[1]), dtype=np.intp)
     idx[np.arange(len(cells)) - first[cells], cells] = cols
     return idx, count
 

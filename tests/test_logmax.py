@@ -127,7 +127,8 @@ def test_working_sets_give_the_pick_of_every_support(monkeypatch):
     # large as the cell takes every support at once.  The octant batch has
     # 52-60 undominated columns per cell.  In the cluster, the 20 columns
     # of largest product lie just below the plane through three far
-    # columns, whose centre is the Nash point.
+    # columns, whose centre is the Nash point.  In the arc, every column
+    # pays some agent nothing, and the first working set none of agent 0.
     rng = np.random.default_rng(12)
     sphere = np.abs(rng.normal(size=(3, 60)))
     sphere /= np.linalg.norm(sphere, axis=0)
@@ -136,6 +137,8 @@ def test_working_sets_give_the_pick_of_every_support(monkeypatch):
     near -= (near.sum(axis=0) - 0.99) / 3
     far = np.array([[18, 1, 1], [1, 18, 1], [1, 1, 18]]) / 20
     cluster = np.hstack([near, far])[None]
+    t = np.linspace(0, np.pi / 2, 20)
+    arc = np.hstack([[np.zeros(20), np.cos(t), np.sin(t)], [[1.0], [0.0], [0.0]]])[None]
     rounds = []
     nash_points = _logmax._nash_points
 
@@ -144,7 +147,7 @@ def test_working_sets_give_the_pick_of_every_support(monkeypatch):
         return nash_points(U, count, levels)
 
     monkeypatch.setattr(_logmax, "_nash_points", recorded)
-    for C in (octant, cluster):
+    for C in (octant, cluster, arc):
         rounds.clear()
         grown = _logmax.maximize_log_sum_batch(C)
         assert len(rounds) > 1 and rounds[0] == _logmax._WORK
@@ -152,7 +155,9 @@ def test_working_sets_give_the_pick_of_every_support(monkeypatch):
             m.setattr(_logmax, "_WORK", C.shape[2])
             for a, b in zip(grown, _logmax.maximize_log_sum_batch(C)):
                 assert a.tobytes() == b.tobytes()
-    assert np.abs(cluster[0] @ grown[0][0] - 1 / 3).max() <= 1e-15
+        if C is cluster:
+            assert np.abs(C[0] @ grown[0][0] - 1 / 3).max() <= 1e-15
+    assert grown[0][0, -1] == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_the_spurious_segment_root_is_rejected():
