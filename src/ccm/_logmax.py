@@ -526,7 +526,7 @@ def _nash_face(C, scale, keep, edges):
         with np.errstate(divide="ignore", invalid="ignore"):
             phi = _gradients(C, at * scale[:, 0])
         # A working set with no positive point (all its products zero)
-        # leaves at = 0: then phi is infinite or NaN, and every column grows.
+        # leaves at = 0, where phi is infinite or NaN: the largest violation.
         phi[np.isnan(phi)] = np.inf
         grow = keep & ~work & (phi > n * (1.0 + _TIE))
         if not grow.any():
