@@ -185,7 +185,11 @@ def _admit_twins(U, C, S, Q, tol: float) -> np.ndarray:
     below = (U[None, :, :] < C[:, :, None] - tol * U.max(axis=1)[:, None]).any(axis=1)
     bad = (Q > EPS_SUPP) & below
     b, j = np.nonzero(bad)
-    twins = (S[b] == S[b, :, j][:, :, None]).all(axis=1) & ~below[b]
+    # One agent at a time: the (entries, n, m) comparison set the sweep's
+    # memory high-water.
+    twins = ~below[b]
+    for i in range(S.shape[1]):
+        twins &= S[b, i] == S[b, i, j][:, None]
     found = twins.any(axis=1)
     b, j = b[found], j[found]
     np.add.at(Q, (b, twins[found].argmax(axis=1)), Q[b, j])
