@@ -185,8 +185,8 @@ def _admit_twins(U, C, S, Q, tol: float) -> np.ndarray:
     below = (U[None, :, :] < C[:, :, None] - tol * U.max(axis=1)[:, None]).any(axis=1)
     bad = (Q > EPS_SUPP) & below
     b, j = np.nonzero(bad)
-    # One agent at a time: the (entries, n, m) comparison set the sweep's
-    # memory high-water.
+    # One agent at a time: an (entries, n, m) comparison would set the
+    # sweep's memory high-water.
     twins = ~below[b]
     for i in range(S.shape[1]):
         twins &= S[b, i] == S[b, i, j][:, None]
