@@ -35,7 +35,48 @@ def _validator(name: str):
         schema = json.load(fh)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    return _with_number_arrays(cls, schema)(schema)
+
+
+def _with_number_arrays(cls, root: dict):
+    """`cls` with an `items` keyword that passes an array of plain numbers in one step.
+
+    When the items subschema admits every number by its type alone, an
+    array of plain ints and floats (not bools) yields no error, which is
+    what descending into each element would find; any other array goes
+    to the stock keyword, so the error stream is the stock one.  Local
+    `$ref`s resolve against `root`, as in a schema with no embedded `$id`.
+    """
+    import jsonschema
+
+    stock = cls.VALIDATORS["items"]
+
+    def items(validator, subschema, instance, schema):
+        if not (
+            type(instance) is list
+            and _admits_numbers(subschema, root)
+            and all(type(x) in (int, float) for x in instance)
+        ):
+            yield from stock(validator, subschema, instance, schema)
+
+    return jsonschema.validators.extend(cls, {"items": items})
+
+
+def _admits_numbers(schema, root: dict) -> bool:
+    """True iff `schema` is `{"type": T}` with "number" in T, or a lone local `$ref` to one."""
+    if isinstance(schema, dict) and schema.keys() == {"$ref"}:
+        ref = schema["$ref"]
+        if not ref.startswith("#/") or "~" in ref or "%" in ref:
+            return False
+        schema = root
+        for key in ref[2:].split("/"):
+            if not isinstance(schema, dict) or key not in schema:
+                return False
+            schema = schema[key]
+    if not isinstance(schema, dict) or schema.keys() != {"type"}:
+        return False
+    kind = schema["type"]
+    return kind == "number" or isinstance(kind, list) and "number" in kind
 
 
 def schema_validate(doc, name: str) -> None:
@@ -53,14 +94,26 @@ def _fail(message: str, code: int = EXIT_ERROR) -> int:
 
 
 def _num(x) -> float:
-    v = float(x)
+    try:
+        v = float(x)
+    except OverflowError:  # an integer beyond float range
+        v = np.inf
     if not np.isfinite(v):
         raise ValueError("numbers must be finite")
     return v
 
 
 def _matrix(rows) -> np.ndarray:
-    return np.array([[_num(x) for x in row] for row in rows], dtype=float)
+    """Rows of numbers or numeric strings, parsed as `float()` parses each one."""
+    try:
+        a = np.array(rows, dtype=float)
+    except OverflowError:  # an integer beyond float range
+        a = np.array(np.inf)
+    except TypeError as exc:  # an entry that is neither a number nor a string
+        raise ValueError(str(exc)) from None
+    if not np.isfinite(a).all():
+        raise ValueError("numbers must be finite")
+    return a
 
 
 def _load_problem(path: str) -> tuple[dict, str]:
@@ -142,6 +195,10 @@ def _base(kind: str, digest: str, tol: float) -> dict:
     }
 
 
+def _positive(tol: float) -> bool:
+    return 0 < tol <= sys.float_info.max  # False for NaN, inf and integers beyond float range
+
+
 def _parse_vector(text: str) -> np.ndarray:
     return np.array([_num(x) for x in text.split(",")], dtype=float)
 
@@ -150,8 +207,10 @@ def cmd_solve(args) -> int:
     doc, digest = _load_problem(args.problem)
     if doc["type"] == "bargaining":
         return _fail("bargaining files have no market to solve; use nash or equitable")
+    tol = EPS_LP if args.tol is None else args.tol
+    if not _positive(tol):
+        return _fail("the tolerance must be a positive finite number")
     P = _collective_of(doc)
-    tol = args.tol or EPS_LP
     if args.sweep:
         certs = market.sweep_lindahl_payoffs(P, grid_steps=args.sweep, tol=tol)
         payload = _base("lindahl_sweep", digest, tol)
@@ -185,7 +244,9 @@ def cmd_verify(args) -> int:
     schema_validate(cert, "certificate.schema.json")
     if cert["problem_sha256"] != digest:
         return _fail("certificate does not match this problem (stale hash)")
-    tol = args.tol or cert.get("tolerances", {}).get("eps_lp", EPS_LP)
+    tol = cert["tolerances"].get("eps_lp", EPS_LP) if args.tol is None else args.tol
+    if not _positive(tol):
+        return _fail("the tolerance must be a positive finite number")
     report = _reverify(doc, cert, tol)
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_ERROR

@@ -370,3 +370,52 @@ def test_verify_accepts_an_infeasible_point_certified_out(name, point, tmp_path,
     code, out, _ = run(capsys, "verify", path(name), str(cert))
     assert code == 1
     assert json.loads(out) == {"passed": False, "status": "member_with_certificate"}
+
+
+@pytest.mark.parametrize("eps", ["x", 0, -1e-9, None, True])
+def test_verify_rejects_a_tolerance_that_is_not_a_positive_number(eps, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert run(capsys, "solve", path("town.json"), "--out", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    doc["tolerances"]["eps_lp"] = eps
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", path("town.json"), str(cert))
+    assert code == 1 and out == ""
+    assert "On instance['tolerances']['eps_lp']" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_positive_and_finite(command, tol, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert run(capsys, "solve", path("town.json"), "--out", str(cert))[0] == 0
+    argv = [command, path("town.json"), f"--tol={tol}"] + ([str(cert)] if command == "verify" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "tolerance" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("eps", ["NaN", "Infinity", "9" * 400])
+def test_verify_rejects_an_eps_lp_the_schema_lets_through(eps, tmp_path, capsys):
+    # Python's json reads these as numbers that pass exclusiveMinimum: 0.
+    cert = tmp_path / "cert.json"
+    assert run(capsys, "solve", path("town.json"), "--out", str(cert))[0] == 0
+    cert.write_text(cert.read_text().replace('"eps_lp": 1e-09', f'"eps_lp": {eps}'))
+    code, _, err = run(capsys, "verify", path("town.json"), str(cert))
+    assert code == 1 and "tolerance" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "collective", "utilities": [[int("9" * 400), 0], [0, 1]]},
+        {"type": "economy", "kind": "table", "goods": ["a"], "agents": 1,
+         "bundles": [{"agent": 0, "items": [0], "value": int("9" * 400)}]},
+    ],
+)
+def test_an_integer_beyond_float_range_is_not_finite(doc, tmp_path, capsys):
+    problem = tmp_path / "huge.json"
+    problem.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "nash", str(problem))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "numbers must be finite"}

@@ -1,0 +1,248 @@
+"""`cli.schema_validate` reports what the stock jsonschema validator reports.
+
+The shipped validators pass an array of plain numbers in one step
+(`cli._with_number_arrays`); every document, valid or not, must still get
+the stock `best_match` error, or none.
+"""
+import contextlib
+import copy
+import functools
+import io
+import json
+import os
+from importlib import resources
+
+import jsonschema
+import numpy as np
+import pytest
+from jsonschema.exceptions import best_match
+
+from ccm import cli
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+PROBLEM, CERTIFICATE = "problem.schema.json", "certificate.schema.json"
+MARKETS = ["cakes.json", "office1.json", "office2.json", "pair.json", "town.json"]
+
+
+def _ccm(*argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return json.loads(out.getvalue())
+
+
+@functools.lru_cache(maxsize=None)
+def _documents() -> tuple:
+    """(schema name, document): every fixture, its certificates and one sweep certificate."""
+    docs = []
+    for name in sorted(os.listdir(DATA)):
+        path = os.path.join(DATA, name)
+        with open(path) as fh:
+            docs.append((PROBLEM, json.load(fh)))
+        if name in MARKETS:
+            docs.append((CERTIFICATE, _ccm("solve", path)))
+    docs.append((CERTIFICATE, _ccm("solve", os.path.join(DATA, "office1.json"), "--sweep", "4")))
+    docs.append((CERTIFICATE, _ccm("nash", os.path.join(DATA, "cakes-bargaining.json"))))
+    return tuple(docs)
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(name: str) -> dict:
+    return json.loads(resources.files("ccm.schemas").joinpath(name).read_text())
+
+
+def _stock(name: str):
+    schema = _schema(name)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _reported(error):
+    return None if error is None else (error.message, list(error.path), list(error.schema_path))
+
+
+def _assert_same_report(doc, name: str):
+    try:
+        cli.schema_validate(doc, name)
+        ours = None
+    except jsonschema.ValidationError as exc:
+        ours = _reported(exc)
+    assert ours == _reported(best_match(_stock(name).iter_errors(doc)))
+    return ours
+
+
+def test_shipped_schemas_are_single_resources():
+    # The override resolves local `$ref`s against the document root, which
+    # is right only while no subschema opens a resource of its own.
+    def embedded_ids(node):
+        children = list(node.values()) if isinstance(node, dict) else node if isinstance(node, list) else []
+        return sum(isinstance(c, dict) and "$id" in c for c in children) + sum(map(embedded_ids, children))
+
+    for name in (PROBLEM, CERTIFICATE):
+        assert "$id" in _schema(name) and embedded_ids(_schema(name)) == 0
+
+
+def test_every_fixture_document_is_valid_on_both_validators():
+    for name, doc in _documents():
+        assert _assert_same_report(doc, name) is None
+
+
+def test_number_rows_skip_the_stock_keyword():
+    # Spy on the stock `items`: no array of plain numbers under a number-only
+    # subschema may reach it, so a certificate's rows cost one pass each.
+    schema = _schema(CERTIFICATE)
+    cls = jsonschema.validators.validator_for(schema)
+    stock = cls.VALIDATORS["items"]
+    seen = []
+
+    def spy(validator, items, instance, schema):
+        seen.append(instance)
+        yield from stock(validator, items, instance, schema)
+
+    spied = jsonschema.validators.extend(cls, {"items": spy})
+    cert = {"kind": "lindahl", "version": "0", "problem_sha256": "0" * 64, "tolerances": {},
+            "p": [[1.0, 2, 0.5]] * 3}
+    assert not list(cli._with_number_arrays(spied, schema)(schema).iter_errors(cert))
+    assert [len(rows) for rows in seen] == [3]  # the outer list of rows only
+
+
+@pytest.mark.parametrize(
+    "name, doc",
+    [
+        (PROBLEM, {"type": "collective", "utilities": [[1, True], [0, 1]]}),
+        (PROBLEM, {"type": "bargaining", "generators": [[0, 1], [1, False]]}),
+        (CERTIFICATE, {"kind": "nash", "version": "0", "problem_sha256": "0" * 64,
+                       "tolerances": {}, "q": [0.5, True]}),
+        (CERTIFICATE, {"kind": "lindahl", "version": "0", "problem_sha256": "0" * 64,
+                       "tolerances": {}, "p": [[1.0, 0], [True, 2.0]]}),
+    ],
+)
+def test_a_bool_among_numbers_is_the_stock_error(name, doc):
+    assert _assert_same_report(doc, name) is not None
+
+
+ARRAYS = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "properties": {
+        "plain": {"type": "array", "items": {"$ref": "#/$defs/number"}},
+        "bounded_def": {"type": "array", "items": {"$ref": "#/$defs/positive"}},
+        "ref_with_sibling": {"type": "array", "items": {"$ref": "#/$defs/number", "minimum": 0}},
+        "bounded": {"type": "array", "items": {"type": "number", "minimum": 0}},
+        "integers": {"type": "array", "items": {"type": "integer"}},
+        "two_hops": {"type": "array", "items": {"$ref": "#/$defs/alias"}},
+    },
+    "$defs": {
+        "number": {"type": "number"},
+        "positive": {"type": "number", "minimum": 0},
+        "alias": {"$ref": "#/$defs/positive"},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"bounded_def": [1, -1]}, {"ref_with_sibling": [2, -1.5]}, {"bounded": [-1]},
+     {"integers": [1, 1.5]}, {"two_hops": [3, -3]}, {"plain": [1, "2"]}],
+)
+def test_schemas_that_constrain_more_than_type_get_the_stock_errors(doc):
+    cls = jsonschema.validators.validator_for(ARRAYS)
+    ours = best_match(cli._with_number_arrays(cls, ARRAYS)(ARRAYS).iter_errors(doc))
+    stock = best_match(cls(ARRAYS).iter_errors(doc))
+    assert stock is not None and _reported(ours) == _reported(stock)
+
+
+# -- mutations ---------------------------------------------------------------
+
+LEAVES = [True, None, "x", [], {}, float("nan"), int("9" * 400)]
+
+
+def _positions(node, path=()):
+    """(path, value) of every node below the root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _positions(value, path + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutants(draw):
+    name, doc = draw(st.sampled_from(_documents()))
+    doc = copy.deepcopy(doc)
+    positions = list(_positions(doc))
+    leaves = [p for p, v in positions if not isinstance(v, (dict, list))]
+    keys = [p for p, _ in positions if isinstance(_parent(doc, p), dict)]
+    rows = [
+        p for p, v in positions
+        if isinstance(v, list) and v and not any(isinstance(x, (dict, list)) for x in v)
+    ]
+    kind = draw(st.sampled_from(["leaf", "delete", "wrap"] if rows else ["leaf", "delete"]))
+    if kind == "leaf":
+        path = draw(st.sampled_from(leaves))
+        _parent(doc, path)[path[-1]] = draw(st.sampled_from(LEAVES))
+    elif kind == "delete":
+        path = draw(st.sampled_from(keys))
+        del _parent(doc, path)[path[-1]]
+    else:
+        path = draw(st.sampled_from(rows))
+        _parent(doc, path)[path[-1]] = [_parent(doc, path)[path[-1]]]
+    return name, doc
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@hypothesis.given(_mutants())
+def test_mutated_documents_get_the_stock_report(mutant):
+    name, doc = mutant
+    _assert_same_report(doc, name)
+
+
+# -- _matrix -----------------------------------------------------------------
+
+_numeric_text = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda v: f" {v:+E}\t"),
+    st.integers(-(10**30), 10**30).map(str),
+    st.integers(0, 10**9).map(lambda v: f"{v:_}"),
+    st.sampled_from(["1_0", " 2 ", "+.5", "-0", "inf", "-Infinity", "nan", "1e400", "1e-400", "١٢"]),
+)
+_entry = st.one_of(_numeric_text, st.floats(), st.integers(-(10**18), 10**18))
+
+
+@st.composite
+def _numeric_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return [[draw(_entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@hypothesis.given(_numeric_matrices())
+def test_matrix_parses_as_float_parses_each_entry(rows):
+    parsed = np.array([[float(x) for x in row] for row in rows])
+    if not np.isfinite(parsed).all():
+        with pytest.raises(ValueError, match="numbers must be finite"):
+            cli._matrix(rows)
+    else:
+        assert cli._matrix(rows).tobytes() == parsed.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["0x10", 1]], "could not convert string to float: '0x10'"),
+        ([[1, 2], [3]], None),
+        ([[1, int("9" * 400)]], "numbers must be finite"),
+        ([["1", "-inf"]], "numbers must be finite"),
+        ({"a": [1]}, "not 'dict'"),  # a sweep's inner certificates reach _matrix unchecked
+    ],
+)
+def test_matrix_rejects_what_float_rejects(rows, message):
+    with pytest.raises(ValueError, match=message):
+        cli._matrix(rows)
