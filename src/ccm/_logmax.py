@@ -577,11 +577,13 @@ def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
     if C.ndim != 3:
         raise ValueError("C must have shape (cells, n, m)")
     b, n, m = C.shape
+    # Cells last, the layout every kernel below reads; a caller that holds
+    # an (n, m, cells) array passes its transposed view and no copy is made.
+    C = np.ascontiguousarray(C.transpose(1, 2, 0))
     if C.min() < 0:
         raise ValueError("columns must be nonnegative")
-    if np.any(C.max(axis=2) <= 0):
+    if np.any(C.max(axis=1) <= 0):
         raise ValueError("every agent row needs a positive entry")
-    C = np.ascontiguousarray(C.transpose(1, 2, 0))
     if n in (2, 3):
         return _support_optima(C, tol)
     lam, x = _warm_start(C, warm_iters, tol)

@@ -204,13 +204,13 @@ def _rising_chain(xs: np.ndarray, ys: np.ndarray):
     stair[:, 0] = True
     stair[:, 1:] = ys[:, 1:] > np.maximum.accumulate(ys, axis=1)[:, :-1]
     counts = stair.sum(axis=1).tolist()
-    xs, ys = xs[stair], ys[stair]
+    xs, ys = xs[stair].tolist(), ys[stair].tolist()
     start = 0
     for count in counts:
         end = start + count
         hx: list[float] = []
         hy: list[float] = []
-        for x, y in zip(xs[start:end].tolist(), ys[start:end].tolist()):
+        for x, y in zip(xs[start:end], ys[start:end]):
             # Drop the last vertex while it lies on or below the chord to (x, y).
             while len(hx) >= 2 and (
                 (hx[-1] - hx[-2]) * (y - hy[-2]) >= (hy[-1] - hy[-2]) * (x - hx[-2])
@@ -279,10 +279,7 @@ def consumer_envelopes(U, P) -> tuple[np.ndarray, np.ndarray]:
     """
     U = np.asarray(U, dtype=float)
     P = np.asarray(P, dtype=float)
-    chains = _envelopes(U, P)
-    out = np.empty((2, U.shape[0]))
-    for r, chain in enumerate(chains):
-        out[:, r] = _peak(*chain)
+    out = np.array([_peak(*chain) for chain in _envelopes(U, P)]).reshape(-1, 2).T
     return out[0], out[1]
 
 

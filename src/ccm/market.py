@@ -10,11 +10,15 @@ allocations are closed form (`_logmax`): the smallest, then shortest,
 best support of at most n outcomes, so on a flat optimal face the
 lottery sits on the fewest outcomes nearest the Nash point.  For two
 agents those are admissible whenever any optimal lottery is, up to
-twins (`_admit_twins`).  A sweep re-verifies all its certificates in
-one batched equilibrium check, with no thread pool: one
-consumer-envelope call covers every (certificate, agent) row.  Its
-first-hit payoff de-duplication compares only near pairs, found by one
-sort on the first coordinate after exact duplicates collapse.
+twins (`_admit_twins`).  A sweep drops, before its solve, every cell
+whose outcomes all pay some agent less than its shift, and holds the
+other cells' shifted utilities cells last, (n, m, cells), the layout
+`_logmax` solves in, through the twin check and the payoffs.  It
+re-verifies all its certificates in one batched equilibrium check, with
+no thread pool: one consumer-envelope call covers every (certificate,
+agent) row.  Its first-hit payoff de-duplication compares only near
+pairs, found by one sort on the first coordinate after exact duplicates
+collapse.
 """
 from __future__ import annotations
 
@@ -143,10 +147,7 @@ def admissible(P: CollectiveProblem, c, q, tol: float = EPS_LP) -> bool:
     """True iff every supported outcome gives each agent at least c_i, judged in its units."""
     c = np.asarray(c, dtype=float)
     q = np.asarray(q, dtype=float)
-    support = q > EPS_SUPP
-    if not support.any():
-        return True
-    return bool(np.all(P.u[:, support] >= c[:, None] - tol * P.u.max(axis=1)[:, None]))
+    return not _below(P.u, c[:, None], tol)[q > EPS_SUPP, 0].any()
 
 
 def lindahl_from_nash(P: CollectiveProblem, c, tol: float = EPS_LP) -> LindahlCertificate | None:
@@ -161,41 +162,49 @@ def lindahl_from_nash(P: CollectiveProblem, c, tol: float = EPS_LP) -> LindahlCe
     """
     c = np.array(c, dtype=float)
     shifted = shifted_utilities(P, c)
-    q = nash_allocation(shifted)[None]
-    if not _admit_twins(P.u, c[None], shifted.u[None], q, tol)[0]:
+    q = nash_allocation(shifted)
+    if not _admit_twins(shifted.u[:, :, None], q[:, None], _below(P.u, c[:, None], tol))[0]:
         return None
-    (cert,), _ = _certificates(P, c[None], q)
+    (cert,), _ = _certificates(P, c[None], q[None])
     verdict = verify_lindahl(P, cert.p, cert.q, tol)
     if not verdict.passed:  # pragma: no cover - the construction is exact
         raise lp.LpError(f"constructed equilibrium failed verification: {verdict.violations}")
     return cert
 
 
-def _admit_twins(U, C, S, Q, tol: float) -> np.ndarray:
+def _below(U, C, tol: float) -> np.ndarray:
+    """(m, K) mask of the columns of U (n, m) that give some agent less than its shift.
+
+    The shifts C are (n, K); column j is below at shift k when
+    U_ij < C_ik - tol max_j U_ij for some agent i, judged in i's units.
+    """
+    return (U[:, :, None] < (C - tol * U.max(axis=1)[:, None])[:, None, :]).any(axis=0)
+
+
+def _admit_twins(S, Q, below) -> np.ndarray:
     """Which of K shifts are admissible, after moving weight onto admissible twins.
 
-    U is (n, m), the shifts C are (K, n), the shifted utilities S are
-    (K, n, m) and the lotteries Q are (K, m).  A supported column that
-    gives some agent less than c_i - tol max_j U_ij is inadmissible, but
-    the solver splits weight between twins (columns identical after the
-    shift): its weight moves, in place in Q, to the first twin that gives
-    no agent less, if there is one.  Payoffs and alpha stay as they are.
-    Returns a length-K mask of the shifts whose support is then admissible.
+    The shifted utilities S are (n, m, K), the lotteries Q and the `_below`
+    mask are (m, K), cells last.  A supported column that is below its
+    shift is inadmissible, but the solver splits weight between twins
+    (columns identical after the shift): its weight moves, in place in Q,
+    to the first twin that is not below, if there is one.  Payoffs and
+    alpha stay as they are.  Returns a length-K mask of the shifts whose
+    support is then admissible.
     """
-    below = (U[None, :, :] < C[:, :, None] - tol * U.max(axis=1)[:, None]).any(axis=1)
     bad = (Q > EPS_SUPP) & below
-    b, j = np.nonzero(bad)
-    # One agent at a time: an (entries, n, m) comparison would set the
+    j, b = np.nonzero(bad)
+    # One agent at a time: an (n, m, entries) comparison would set the
     # sweep's memory high-water.
-    twins = ~below[b]
-    for i in range(S.shape[1]):
-        twins &= S[b, i] == S[b, i, j][:, None]
-    found = twins.any(axis=1)
-    b, j = b[found], j[found]
-    np.add.at(Q, (b, twins[found].argmax(axis=1)), Q[b, j])
-    Q[b, j] = 0.0
-    bad[b, j] = False
-    return ~bad.any(axis=1)
+    twins = ~below[:, b]
+    for i in range(S.shape[0]):
+        twins &= S[i][:, b] == S[i, j, b]
+    found = twins.any(axis=0)
+    j, b = j[found], b[found]
+    np.add.at(Q, (twins[:, found].argmax(axis=0), b), Q[j, b])
+    Q[j, b] = 0.0
+    bad[j, b] = False
+    return ~bad.any(axis=0)
 
 
 def _certificates(P, C, Q) -> tuple[list[LindahlCertificate], np.ndarray]:
@@ -318,20 +327,30 @@ def sweep_lindahl_payoffs(
 ) -> list[LindahlCertificate]:
     """Enumerate equilibrium payoffs over a grid of admissible utility shifts.
 
-    All grid cells are solved as one batched Nash computation; admissible
-    cells become certificates, payoffs are deduplicated in each agent's
-    units (first hit in lexicographic shift order wins), and the surviving
-    certificates are re-verified in one batched check before being returned.
+    A cell whose every column is below its shift for some agent (`_below`)
+    is dropped before the solve: any lottery of unit mass supports one of
+    those columns, and none has a twin that is not below, so the cell
+    could never be admissible.  The other cells are solved as one batched
+    Nash computation on the shifted utilities, built once as (n, m, cells)
+    and kept in that layout through `_admit_twins` and the payoffs.
+    Admissible cells become certificates, payoffs are deduplicated in each
+    agent's units (first hit in lexicographic shift order wins), and the
+    surviving certificates are re-verified in one batched check before
+    being returned.
     """
     if P.n > 4:
         raise ValueError("sweep cost grows as steps**n; n <= 4 only")
     grid = _shift_grid(P, grid_steps)
     reps = _unique_columns(P.u)
     Ured = P.u[:, reps]
-    shifted = np.maximum(Ured[None, :, :] - grid[:, :, None], 0.0)
-    lam, _, _ = maximize_log_sum_batch(shifted, tol=1e-11)
-    live = np.nonzero(_admit_twins(Ured, grid, shifted, lam, tol))[0]
-    payoffs = (np.matmul(shifted, lam[:, :, None])[:, :, 0] + grid)[live]
+    below = _below(Ured, grid.T, tol)
+    # The zero shift is never dropped, so the batch is never empty.
+    solved = ~below.all(axis=0)
+    grid, below = grid[solved], below[:, solved]
+    shifted = np.maximum(Ured[:, :, None] - grid.T[:, None, :], 0.0)
+    lam, _, _ = maximize_log_sum_batch(shifted.transpose(2, 0, 1), tol=1e-11)
+    live = np.nonzero(_admit_twins(shifted, lam.T, below))[0]
+    payoffs = (np.einsum("nmb,mb->bn", shifted, lam.T) + grid)[live]
     kept = live[_first_hits(payoffs / P.u.max(axis=1), PAYOFF_DEDUP)]
 
     Q = np.zeros((kept.size, P.k))

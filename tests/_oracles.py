@@ -33,7 +33,10 @@ The consumer envelope has its one-row form here (`rising_chain_row`,
 `consumer_envelope_row`): one sort and one monotone chain per row, where
 the library sorts a whole stack of rows at once.  Sweep de-duplication
 has its quadratic first-hit loop here (`first_hits_loop`), one vector pass
-per kept row, where the library compares near pairs only.
+per kept row, where the library compares near pairs only.  The sweep
+itself has its full-grid form here (`full_grid_sweep`): every grid cell
+solved in the (cells, n, m) layout, where the library drops the cells
+that can never be admissible before the solve and keeps its cells last.
 
 The n >= 3 equitability witness LP has its slack-variable form here
 (`witness_lp_slack`): raw payoff units, one slack per (generator, agent)
@@ -68,7 +71,7 @@ from scipy.optimize import linprog
 
 from ccm import _logmax, lp
 from ccm import market, polytope, solutions
-from ccm.tolerances import EPS_GEOM
+from ccm.tolerances import EPS_GEOM, EPS_LP, PAYOFF_DEDUP
 
 
 def lp_vertex_enum(c, A, b):
@@ -443,6 +446,30 @@ def shift_certificate(P, c, q):
     alpha = shifted.u @ q
     p = shifted.u / alpha[:, None]
     return market.LindahlCertificate(p=p, q=q, payoffs=alpha + c, alpha=alpha, c=c.copy())
+
+
+def full_grid_sweep(P, steps, tol=EPS_LP):
+    """`market.sweep_lindahl_payoffs` with every grid cell solved, cells first.
+
+    Each cell's shifted utilities are solved in one (cells, n, m) batch;
+    `_admit_twins` then judges every cell, `_first_hits` de-duplicates
+    the payoffs and `_certificates` builds the certificates, which are
+    re-verified.
+    """
+    grid = market._shift_grid(P, steps)
+    reps = market._unique_columns(P.u)
+    U = P.u[:, reps]
+    shifted = np.maximum(U[None] - grid[:, :, None], 0.0)
+    lam, _, _ = market.maximize_log_sum_batch(shifted, tol=1e-11)
+    below = (U[None] < grid[:, :, None] - tol * U.max(axis=1)[:, None]).any(axis=1)
+    live = np.flatnonzero(market._admit_twins(shifted.transpose(1, 2, 0), lam.T, below.T))
+    payoffs = (np.matmul(shifted, lam[:, :, None])[:, :, 0] + grid)[live]
+    kept = live[market._first_hits(payoffs / P.u.max(axis=1), PAYOFF_DEDUP)]
+    Q = np.zeros((kept.size, P.k))
+    Q[:, reps] = lam[kept]
+    certs, p = market._certificates(P, grid[kept], Q)
+    assert not any(market._lindahl_violations(P, p, Q, tol))
+    return certs
 
 
 def damped_warm_start(C, iters, tol):

@@ -269,6 +269,21 @@ def test_sweep_certificate_round_trip(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("field, value", [("q", {"a": 1}), ("p", [[1.0, "x"], [0.0, 1.0]]), (None, 5)])
+def test_a_malformed_inner_sweep_certificate_is_a_json_error(field, value, tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    assert run(capsys, "solve", path("town.json"), "--sweep", "4", "--out", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    if field is None:
+        doc["certificates"][0] = value
+    else:
+        doc["certificates"][0][field] = value
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", path("town.json"), str(cert))
+    assert code == 1 and out == ""
+    assert "On instance['certificates'][0]" in json.loads(err)["error"]
+
+
 def test_bargaining_nash_certificate_round_trip(tmp_path, capsys):
     cert = tmp_path / "nash.json"
     code, _, _ = run(capsys, "nash", path("cakes-bargaining.json"), "--out", str(cert))

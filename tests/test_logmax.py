@@ -210,6 +210,30 @@ def test_a_cells_lottery_does_not_depend_on_its_batch():
         assert alone_value[0] == pytest.approx(value[cell], abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "batch",
+    [lambda: _corpus_batch(34, 64), lambda: _corpus_batch(121, 8),
+     lambda: _shift_batch(random_collective(np.random.default_rng(7), n=4), 4)],
+    ids=["two", "three", "four"],
+)
+def test_a_transposed_view_solves_as_its_contiguous_copy(batch):
+    # The sweep passes its (n, m, cells) tensor as a (cells, n, m) view.
+    C = batch()
+    held = np.ascontiguousarray(C.transpose(1, 2, 0))
+    view = held.transpose(2, 0, 1)
+    assert not view.flags.c_contiguous and np.array_equal(view, C)
+    for a, b in zip(_logmax.maximize_log_sum_batch(view), _logmax.maximize_log_sum_batch(C)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    negative = held.copy()
+    negative[0, 1, 5] = -1e-300
+    with pytest.raises(ValueError, match="nonnegative"):
+        _logmax.maximize_log_sum_batch(negative.transpose(2, 0, 1))
+    zero_row = held.copy()
+    zero_row[-1, :, 7] = 0.0
+    with pytest.raises(ValueError, match="positive entry"):
+        _logmax.maximize_log_sum_batch(zero_row.transpose(2, 0, 1))
+
+
 @pytest.mark.parametrize("warm_iters", [300, 0])
 def test_residual_within_tolerance_on_random_batches(warm_iters):
     # warm_iters=0 hands every cell of one agent or of four to the Newton

@@ -10,6 +10,7 @@ from _oracles import (
     admissible_reach,
     corpus_problem,
     first_hits_loop,
+    full_grid_sweep,
     nash_allocation_grid_1d,
     nash_point_on_chain,
     random_collective,
@@ -296,20 +297,28 @@ class TestSweep:
 
     @pytest.mark.parametrize("index", [34, 172])
     def test_every_rejected_shift_has_no_admissible_nash_lottery(self, index, monkeypatch):
-        # A shift the sweep drops must have no admissible lottery at all that
-        # pays its Nash point, by an LP over the admissible outcomes.
+        # A shift the sweep drops, before the solve or after it, must have no
+        # admissible lottery at all that pays its Nash point, by an LP over
+        # the admissible outcomes.
         P = mk.CollectiveProblem(corpus_problem(index))
         masks = []
         admit = mk._admit_twins
         monkeypatch.setattr(mk, "_admit_twins", lambda *a: masks.append(admit(*a)) or masks[-1])
         mk.sweep_lindahl_payoffs(P, 64)
         grid = mk._shift_grid(P, 64)
+        # Only cells with a column paying every agent its shift, in its
+        # units, are solved; `_admit_twins` judges those.
+        floor = grid[:, :, None] - mk.EPS_LP * P.u.max(axis=1)[:, None]
+        solved = np.flatnonzero((P.u[None] >= floor).all(axis=1).any(axis=1))
+        (admitted,) = masks
+        assert admitted.shape == solved.shape and solved.size < len(grid)
+        live = np.zeros(len(grid), dtype=bool)
+        live[solved[admitted]] = True
 
         def reach(c):
             x = nash_point_on_chain(np.maximum(P.u - c[:, None], 0.0).T, np.zeros(2))
             return admissible_reach(P.u, c, x, mk.EPS_LP)
 
-        (live,) = masks
         assert (~live).sum() > 1000
         assert max(reach(c) for c in grid[~live]) < 1.0 - 1e-9
         assert min(reach(c) for c in grid[live][::64]) >= 1.0 - 1e-12
@@ -499,6 +508,57 @@ def test_sweep_is_byte_deterministic():
         _assert_same_bytes(a, b)
 
 
+def _solved_and_certificates(P, steps, monkeypatch):
+    """The cells the sweep solves, and its certificates."""
+    solve, sizes = mk.maximize_log_sum_batch, []
+
+    def counted(C, **kwargs):
+        sizes.append(len(C))
+        return solve(C, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mk, "maximize_log_sum_batch", counted)
+        certs = mk.sweep_lindahl_payoffs(P, steps)
+    (solved,) = sizes
+    return solved, certs
+
+
+def _assert_sweep_is_the_full_grid_sweep(P, steps, monkeypatch):
+    solved, certs = _solved_and_certificates(P, steps, monkeypatch)
+    assert solved < steps**P.n  # some cells go before the solve
+    reference = full_grid_sweep(P, steps)
+    assert len(certs) == len(reference) > 0
+    for a, b in zip(certs, reference):
+        _assert_same_bytes(a, b)
+    return solved
+
+
+@pytest.mark.parametrize("index", [34, 121, 172, 0, 1, 2, 3, 4, 7, 8, 12, 13, 14, 17])
+def test_sweep_equals_the_full_grid_sweep_on_corpus_problems(index, monkeypatch):
+    P = mk.CollectiveProblem(corpus_problem(index))
+    _assert_sweep_is_the_full_grid_sweep(P, 64 if P.n == 2 else 8, monkeypatch)
+
+
+def test_sweep_equals_the_full_grid_sweep_on_four_agents(monkeypatch):
+    rng = np.random.default_rng(7)
+    sample = [random_collective(rng, n=4) for _ in range(5)]
+    for u in sample[:2] + sample[3:]:  # problem 2 drops no cell at 6 steps
+        _assert_sweep_is_the_full_grid_sweep(mk.CollectiveProblem(u), 6, monkeypatch)
+
+
+@pytest.mark.parametrize("scale", [[1e-6, 1e6], [1e6, 1e-6]])
+def test_sweep_drops_cells_in_each_agents_units(scale, monkeypatch):
+    # Every positive utility lowered by half a tolerance in its agent's
+    # units lies just below the grid shifts it used to equal, and is not
+    # below them.  Rows rescaled by 1e-6 and 1e6 must drop the same cells
+    # as the unit rows; a drop judged in absolute units drops more.
+    u = corpus_problem(172)
+    u = np.where(u > 0, u - 0.5 * mk.EPS_LP * u.max(axis=1)[:, None], 0.0)
+    unit, _ = _solved_and_certificates(mk.CollectiveProblem(u), 64, monkeypatch)
+    scaled = mk.CollectiveProblem(u * np.array(scale)[:, None])
+    assert _assert_sweep_is_the_full_grid_sweep(scaled, 64, monkeypatch) == unit
+
+
 def _summary(violations):
     return not violations, {(v.condition, v.agent) for v in violations}
 
@@ -556,10 +616,12 @@ def test_batched_check_is_verify_lindahl(corpus_sweeps):
 def test_sweep_raises_on_a_certificate_off_its_optimum(monkeypatch, move, expected):
     last = mk.sweep_lindahl_payoffs(CAKE_MARKET, 12)[-1]
     assert last.c[0] > 0
-    cell = int(np.nonzero((mk._shift_grid(CAKE_MARKET, 12) == last.c).all(axis=1))[0][0])
     solve = mk.maximize_log_sum_batch
 
     def moved(C, **kwargs):
+        # The batch holds only the cells solved: find the last certificate's
+        # row by its shifted utilities (CAKE_MARKET has no twin outcomes).
+        (cell,) = np.flatnonzero((C == mk.shifted_utilities(CAKE_MARKET, last.c).u).all(axis=(1, 2)))
         lam, value, resid = solve(C, **kwargs)
         lam[cell] = move(lam[cell])
         return lam, value, resid

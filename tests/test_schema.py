@@ -123,6 +123,18 @@ def test_a_bool_among_numbers_is_the_stock_error(name, doc):
     assert _assert_same_report(doc, name) is not None
 
 
+def test_an_inner_sweep_certificate_is_typed_as_the_top_level_one():
+    (sweep,) = [doc for _, doc in _documents() if doc.get("kind") == "lindahl_sweep"]
+    for field, value in [("q", {"a": 1}), ("p", [[1.0, True]]), ("payoffs", ["1"]),
+                         ("alpha", [None]), ("c", 0.5)]:
+        doc = copy.deepcopy(sweep)
+        doc["certificates"][0][field] = value
+        assert _assert_same_report(doc, CERTIFICATE) is not None
+    doc = copy.deepcopy(sweep)
+    doc["certificates"][1] = [1.0]
+    assert _assert_same_report(doc, CERTIFICATE) is not None
+
+
 ARRAYS = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -240,7 +252,7 @@ def test_matrix_parses_as_float_parses_each_entry(rows):
         ([[1, 2], [3]], None),
         ([[1, int("9" * 400)]], "numbers must be finite"),
         ([["1", "-inf"]], "numbers must be finite"),
-        ({"a": [1]}, "not 'dict'"),  # a sweep's inner certificates reach _matrix unchecked
+        ({"a": [1]}, "not 'dict'"),
     ],
 )
 def test_matrix_rejects_what_float_rejects(rows, message):
