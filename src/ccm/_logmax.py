@@ -12,17 +12,27 @@ Because sum_j lam_j phi_j == n identically (phi is the gradient), the
 optimality condition is simply phi_j <= n for all j with equality on the
 support, which doubles as the reported KKT residual.
 
+Every n runs one working-set loop, column generation over the simplex
+(simplicial decomposition: Holloway 1974; von Hohenbalken 1977).  Each
+cell first keeps only its undominated columns, in column order, and of
+exact twins the first (`_undominated`): a dominated column is in no
+optimal support.  A cell with more than `_WORK` of them starts on the
+`_WORK` of largest product, rows scaled to a largest entry of one.  Each
+round solves the problem on the working set; then at most `_WORK` of the
+kept columns that break the KKT conditions there (phi_j > n) join it,
+the most violated first, until none does.  Only the support solve
+depends on n: a closed form for two and three agents, Newton's method
+for one agent and for four or more.
+
 For two and three agents the optimum lies on a face of at most n
 columns, where it has a closed form (`_support_optima`): every support
-of at most n columns is a candidate.  Each cell first keeps only its
-undominated columns, in column order, and of exact twins the first
-(`_undominated`): a dominated column is in no optimal support.  On a
-segment (a, a + d) the log sum peaks where sum_i d_i / (a_i + t d_i)
-vanishes: for two agents at t* = -(d_0 a_1 + d_1 a_0) / (2 d_0 d_1)
-when d_0 d_1 < 0 (Nash 1950), for three at a root of a quadratic.  On
-a triangle of three agents' columns it peaks at x_i = 1 / (3 w_i), on
-the plane w.x = 1 through them (Eisenberg & Gale 1959).  A candidate
-counts when its point lies strictly inside its support.
+of at most n working columns is a candidate.  On a segment (a, a + d)
+the log sum peaks where sum_i d_i / (a_i + t d_i) vanishes: for two
+agents at t* = -(d_0 a_1 + d_1 a_0) / (2 d_0 d_1) when d_0 d_1 < 0
+(Nash 1950), for three at a root of a quadratic.  On a triangle of
+three agents' columns it peaks at x_i = 1 / (3 w_i), on the plane
+w.x = 1 through them (Eisenberg & Gale 1959).  A candidate counts when
+its point lies strictly inside its support.
 
 The best candidate of the largest size sets each cell's point.  Near the
 peak the log sum is flat to second order, so objective values alone
@@ -38,44 +48,32 @@ optimal face the lottery thus sits on the fewest columns nearest the
 Nash point.
 
 Candidates are evaluated in blocks of at most `_PAIR_BLOCK` (cell,
-support) entries, so memory stays bounded at any m.  A cell of K
-undominated columns has on the order of K^n supports, so a cell with
-more than `_WORK` solves on a working set of them, grown by the columns
-that break the KKT conditions at its optimum (column generation).  A
-caller that knows a two-agent set's frontier chain passes its
-consecutive edges as the only segments (`solutions.nash_solution`), in
-O(m) after the chain's sort.  Two and three agents run no ascent and no
-Newton step; the KKT residual re-verifies every cell, as for any n.
+support) entries, so memory stays bounded at any m; a working set bounds
+the number of supports, on the order of K^n for K columns.  A caller
+that knows a two-agent set's frontier chain passes its consecutive edges
+as the only segments (`solutions.nash_solution`), in O(m) after the
+chain's sort.
 
-For one agent, and for four or more, the method has two phases, and
-convergence is decided per cell:
+For one agent, and for four or more, each round runs Newton steps on
+the working sets, padded to one block (`_newton_optima`, `_newton_group`).
+The lottery starts uniform on the first working set, which must pay
+every agent: where the columns of largest product pay some agent
+nothing, that agent's best column joins them.  The Newton steps are a
+primal active-set method: a column at zero weight that would block the
+step leaves the working set and the cell re-solves on the rest.  A cell
+that misses the tolerance goes on with the columns that hold weight,
+joined by the violators at zero weight, so each round starts from the
+last lottery; restarting from the uniform lottery can cycle, as the ratio
+test drops an entering column again.  One agent keeps one column, the
+first of the row's maxima, and a one-column block takes no step, since
+lam = 1 is exact there.
 
-* A multiplicative ascent from the uniform lottery, for at most
-  `warm_iters` iterations: lam_j <- lam_j phi_j / n.  This is the EM
-  update for mixture weights (Dempster, Laird & Rubin 1977; Cover 1984),
-  which never decreases the objective, so every step is taken.  Iterates
-  stay in the relative interior.  Every 16 iterations each cell is
-  tested on its own: it is done once its last gain is at most
-  1e-13 (1 + |f|) or its residual meets the tolerance.  The ascent stops
-  when every cell is done.  Done cells keep stepping with the rest:
-  at the default cap, gathering the unfinished cells into a smaller
-  batch cost more than the steps it saved.
-* Newton rounds.  Every cell gets at least one, because a cell that met
-  the tolerance in the ascent still has errors of that size in C lam.
-  Cells that share a support pattern solve as one stacked call; a
-  support of one column takes no step, since lam = 1 is exact there.
-  The Newton steps are a primal active-set method and finish a cell from
-  any start: a support column at zero weight that would block the step
-  leaves the working set and the cell re-solves on the rest, and columns
-  that coincide within a cell are solved as one.  Each round re-reads the
-  support from the lottery and the gradient, so a column with phi_j > n
-  enters the next round.
-
-A cell's result depends on the other cells in its batch only through
-rounding: batched reductions may sum in a different order.
-Internally the cell index is the last axis (C is (n, m, cells), lam is
-(m, cells)), so the reductions over agents and outcomes run across all
-cells at once.
+The KKT residual re-verifies every cell, for any n.  A cell's result
+depends on the other cells in its batch only through rounding: batched
+reductions may sum in a different order, and Newton's working sets are
+padded to the widest in the batch.  Internally the cell index is the
+last axis (C is (n, m, cells), lam is (m, cells)), so the reductions
+over agents and outcomes run across all cells at once.
 """
 from __future__ import annotations
 
@@ -107,7 +105,8 @@ _FACE = 1e-9
 # Cells with more undominated columns than this solve on a working set of
 # that many, the largest products first, and add at most that many of the
 # columns that break the KKT conditions at its optimum per round (column
-# generation): a cell of K columns has on the order of K^n supports.
+# generation): a cell of K columns has on the order of K^n supports, and
+# a Newton step on them solves a (K + 1)-square system.
 _WORK = 16
 
 
@@ -137,49 +136,18 @@ def _residuals(C, lam, x):
     return _kkt(phi, lam, C.shape[0]), phi
 
 
-def _warm_start(C, iters, tol):
-    """EM ascent from the uniform lottery: lam_j <- lam_j phi_j / n.
+def _newton_group(Cg, lamS, free):
+    """Newton steps on padded working sets, with a primal active set.
 
-    Returns (lam, x).  Stops early once every cell has stalled or met `tol`.
-    """
-    n, m, b = C.shape
-    lam = np.full((m, b), 1.0 / m)
-    x, f = _objective(C, lam)
-    gain = np.zeros(b)
-    for it in range(iters):
-        phi = _gradients(C, x)
-        if it % 16 == 0 and it:
-            if not ((gain > 1e-13 * (1.0 + np.abs(f))) & (_kkt(phi, lam, n) > tol)).any():
-                break
-        # phi >= 0, so dead columns stay at zero weight.
-        phi /= n
-        lam = lam * phi
-        lam /= lam.sum(axis=0)
-        x, fc = _objective(C, lam)
-        gain = fc - f
-        f = fc
-    return lam, x
-
-
-def _newton_group(Cg, lamS):
-    """Newton steps on a shared support, with a primal active set.
-
-    Columns that coincide within a cell are solved as one column, the
-    first of them, and afterwards share its weight in their incoming
-    ratio, which the multiplicative ascent keeps fixed.  A column whose
-    ratio test blocks the step (it is at zero weight and the direction is
-    negative) leaves the working set, and the cell re-solves on the rest.
+    Cg is (n, K, cells), lamS the (K, cells) lottery on it and free a
+    (K, cells) mask of the columns that may carry weight; the rest are
+    padding, held at zero.  Each step solves the KKT system of the
+    log sum on the free columns.  A free column whose ratio test blocks
+    the step (it is at zero weight and the direction is negative) leaves
+    the working set, and the cell re-solves on the rest.
     """
     n, s, b = Cg.shape
-    cols = np.arange(s)
-    rep = (Cg[:, :, None, :] == Cg[:, None, :, :]).all(axis=0).argmax(axis=1)
-    member = rep[:, None, :] == cols[None, :, None]
-    merged = np.einsum("trb,tb->rb", member, lamS)
-    held = np.take_along_axis(merged, rep, axis=0)
-    size = np.take_along_axis(member.sum(axis=0), rep, axis=0)
-    share = np.where(held > 0, lamS / np.where(held > 0, held, 1.0), 1.0 / size)
-    lamS = merged
-    free = rep == cols[:, None]
+    free = free.copy()
     x, f = _objective(Cg, lamS)
     for _ in range(_NEWTON_ITERS):
         inv = 1.0 / x
@@ -196,9 +164,8 @@ def _newton_group(Cg, lamS):
             H += W[i, :, None] * Cg[i, None, :]
         diag = M.reshape((s + 1) ** 2, b)[: s * (s + 2) : s + 2]
         diag += 1e-13 * (diag.T.copy().sum(axis=1) / s + 1.0)
-        if not free.all():
-            H *= free[:, None, :] & free[None, :, :]
-            diag += ~free
+        H *= free[:, None, :] & free[None, :, :]
+        diag += ~free
         M[:s, s] = free
         M[s, :s] = free
         rhs = np.zeros((s + 1, b))
@@ -233,14 +200,7 @@ def _newton_group(Cg, lamS):
         lamS = np.where(moved, cand, lamS)
         x = np.where(moved, xc, x)
         f = np.where(moved, fc, f)
-    return np.take_along_axis(lamS, rep, axis=0) * share
-
-
-def _support_groups(supp):
-    """Cells (columns of supp) grouped by pattern, patterns in lexicographic order."""
-    order = np.lexsort(supp[::-1])
-    ranked = supp[:, order]
-    return np.split(order, np.flatnonzero((ranked[:, 1:] != ranked[:, :-1]).any(axis=0)) + 1)
+    return lamS
 
 
 def _subsets(k, s):
@@ -566,17 +526,64 @@ def _missed(tol, cells):
     return ConvergenceError(f"log-welfare maximizer missed tolerance {tol} on {cells} cell(s)")
 
 
-def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
+def _newton_optima(C, tol):
+    """Log-welfare optima of one agent or of four or more, by Newton on working sets.
+
+    C is (n, m, cells).  The working sets start as the module docstring
+    says; each round solves them, padded to one (n, K, cells) block of
+    which `free` marks the real columns, by `_newton_group`.  Returns
+    (lam, value, residual) as `maximize_log_sum_batch` does.
+    """
+    n, _, b = C.shape
+    keep = _undominated(C)
+    work = keep.copy()
+    if keep.sum(axis=0).max() > _WORK:
+        work = _largest((C / C.max(axis=1, keepdims=True)).prod(axis=0), keep)
+        agents, cells = np.nonzero(~(C * work).any(axis=1))
+        work[np.where(keep, C, -1.0).argmax(axis=1)[agents, cells], cells] = True
+    lam = work / work.sum(axis=0)
+    todo = np.arange(b)
+    f = np.empty(b)
+    resid = np.empty(b)
+    for _ in range(_SUPPORT_ROUNDS):
+        idx, count = _compact(work[:, todo])
+        Ct = C[:, :, todo]
+        if idx.shape[0] > 1:
+            free = np.arange(idx.shape[0])[:, None] < count
+            U = np.take_along_axis(Ct, idx[None], axis=1)
+            lamW = np.where(free, np.take_along_axis(lam[:, todo], idx, axis=0), 0.0)
+            # Slices bound the memory of the stacked Newton systems.
+            for lo in range(0, todo.size, _NEWTON_SLICE):
+                cells = slice(lo, lo + _NEWTON_SLICE)
+                lamW[:, cells] = _newton_group(U[:, :, cells], lamW[:, cells], free[:, cells])
+            rows, cols = np.nonzero(free)
+            lam[:, todo] = 0.0
+            lam[idx[rows, cols], todo[cols]] = lamW[rows, cols]
+        xt, f[todo] = _objective(Ct, lam[:, todo])
+        r, phi = _residuals(Ct, lam[:, todo], xt)
+        resid[todo] = r
+        held = lam[:, todo] > 0
+        grow = keep[:, todo] & ~held & (phi > n * (1.0 + _TIE))
+        left = r > tol
+        todo = todo[left]
+        if not todo.size:
+            return np.ascontiguousarray(lam.T), f, resid
+        work[:, todo] = held[:, left] | _largest(phi[:, left], grow[:, left])
+    raise _missed(tol, todo.size)
+
+
+def maximize_log_sum_batch(C, tol=1e-11):
     """Batched solve.  C has shape (cells, n, m), nonnegative, nonzero rows.
 
     Returns (lam, value, residual) with lam of shape (cells, m).  Raises
     ConvergenceError if any cell misses the KKT tolerance.  Two and three
-    agents take the closed form (`_support_optima`) and ignore `warm_iters`.
+    agents take the closed form (`_support_optima`), any other number
+    Newton's method (`_newton_optima`).
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 3:
         raise ValueError("C must have shape (cells, n, m)")
-    b, n, m = C.shape
+    n = C.shape[1]
     # Cells last, the layout every kernel below reads; a caller that holds
     # an (n, m, cells) array passes its transposed view and no copy is made.
     C = np.ascontiguousarray(C.transpose(1, 2, 0))
@@ -586,34 +593,4 @@ def maximize_log_sum_batch(C, tol=1e-11, warm_iters=64):
         raise ValueError("every agent row needs a positive entry")
     if n in (2, 3):
         return _support_optima(C, tol)
-    lam, x = _warm_start(C, warm_iters, tol)
-    # Every cell gets at least one Newton round: a cell that met `tol` in
-    # the ascent still carries errors of that size in C lam.
-    todo = np.arange(b)
-    phi = _gradients(C, x)
-    f = np.empty(b)
-    resid = np.empty(b)
-    for _ in range(_SUPPORT_ROUNDS):
-        supp = (lam[:, todo] > _SUPP_EPS) | (phi > n * (1.0 + 1e-12))
-        for group in _support_groups(supp):
-            S = np.nonzero(supp[:, group[0]])[0]
-            members = todo[group]
-            if S.size == 1:
-                lam[:, members] = 0.0
-                lam[S, members] = 1.0
-                continue
-            # Slices bound the memory of the stacked Newton systems.
-            for cells in np.array_split(members, -(-members.size // _NEWTON_SLICE)):
-                lamS = lam[np.ix_(S, cells)]
-                lamS /= lamS.sum(axis=0)
-                lam[:, cells] = 0.0
-                lam[np.ix_(S, cells)] = _newton_group(C[np.ix_(np.arange(n), S, cells)], lamS)
-        Ct = C[:, :, todo]
-        xt, f[todo] = _objective(Ct, lam[:, todo])
-        r, phi = _residuals(Ct, lam[:, todo], xt)
-        resid[todo] = r
-        todo, phi = todo[r > tol], phi[:, r > tol]
-        if not todo.size:
-            return np.ascontiguousarray(lam.T), f, resid
-    raise _missed(tol, todo.size)
-
+    return _newton_optima(C, tol)

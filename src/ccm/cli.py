@@ -8,6 +8,7 @@ file so verify cannot be pointed at the wrong instance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -168,12 +169,11 @@ def _bargaining_of(doc: dict) -> polytope.Polytope:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # json.dump writes the text piece by piece: a large sweep's certificate
+    # is never held in memory as one string.
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _lindahl_payload(cert: market.LindahlCertificate) -> dict:

@@ -16,12 +16,12 @@ Every verdict is exact: a member with a re-validated certificate, or a
 certified non-member.
 
 Also provided: the Nash bargaining point (log-welfare maximizer), the
-supporting simplex at that point, Nash sustainability (which coincides
-with equitability), and a property harness for the solution axioms.
+supporting simplex at that point, and Nash sustainability (which
+coincides with equitability).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -310,83 +310,3 @@ def _clip_chain(chain, lo, tol):
     if pts[0][0] < lo[0] - tol or pts[-1][1] < lo[1] - tol:
         return None
     return pts
-
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    detail: dict
-    ok: bool
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: list[AxiomCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def axiom_suite(B: Polytope, sample_points, transforms, tol: float = EPS_GEOM) -> AxiomReport:
-    """Property-test the solution axioms on B.
-
-    Scale invariance: membership verdicts commute with the supplied
-    positive-affine transforms.  Symmetry: on the unit simplex only the
-    equal split is a member.  Consistency: the fair point of a dominating
-    simplex game that lies in B is a member of B's equitable set.
-    Justifiability: every member's certificate validates independently.
-    """
-    checks: list[AxiomCheck] = []
-    samples = [as_point(p, B.dim) for p in sample_points]
-
-    for a, z in transforms:
-        a = as_point(a, B.dim)
-        z = as_point(z, B.dim)
-        if np.any(a <= 0):
-            raise ValueError("transform scale must be strictly positive")
-        mapped = Polytope(B.generators * a + z)
-        for x in samples:
-            s0 = equitable_contains(B, x, tol=tol).status
-            s1 = equitable_contains(mapped, a * x + z, tol=tol).status
-            checks.append(
-                AxiomCheck(
-                    "scale_invariance",
-                    {"x": x.tolist(), "a": a.tolist(), "z": z.tolist(), "base": s0, "mapped": s1},
-                    s0 == s1,
-                )
-            )
-
-    n = B.dim
-    gens = B.generators
-    is_unit_simplex = (
-        np.abs(B.disagreement).max() <= tol
-        and np.abs(B.bliss - 1.0).max() <= tol
-        and all(contains(Polytope(np.vstack([np.zeros(n), np.eye(n)])), g, tol) for g in gens)
-    )
-    if is_unit_simplex:
-        center = np.full(n, 1.0 / n)
-        ok = equitable_contains(B, center, tol=tol).is_member
-        vertex_ok = all(
-            equitable_contains(B, v, tol=tol).status == NON_MEMBER for v in np.eye(n)
-        )
-        checks.append(AxiomCheck("symmetry", {"center_member": ok}, ok and vertex_ok))
-
-    A_sup = supporting_simplex(B)
-    x_sup = fair_outcome(A_sup)
-    verdict = equitable_contains(B, x_sup, tol=tol)
-    checks.append(
-        AxiomCheck("consistency", {"x": x_sup.tolist(), "status": verdict.status}, verdict.is_member)
-    )
-
-    for x in samples:
-        v = equitable_contains(B, x, tol=tol)
-        if v.is_member:
-            checks.append(
-                AxiomCheck(
-                    "justifiability",
-                    {"x": x.tolist()},
-                    validate_certificate(B, x, v.certificate),
-                )
-            )
-    return AxiomReport(checks)

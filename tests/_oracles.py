@@ -23,11 +23,9 @@ The two-agent frontier chain has its old tolerance-based form here
 (`supporting_normal_lp`); the library reads both off one exact monotone
 chain.
 
-The log-welfare solver's ascent has its old damped form here
-(`damped_warm_start`), which takes a step only if it does not lower the
-objective and records the steps it rejects; the library takes every step.
-Its Newton steps have their einsum-assembled form here (`newton_group`);
-the library assembles the same KKT systems in contiguous arrays.
+The log-welfare solver's Newton steps have their einsum-assembled form
+here (`newton_group`), with the working set applied by masks at every
+step; the library assembles the same KKT systems in contiguous arrays.
 
 The consumer envelope has its one-row form here (`rising_chain_row`,
 `consumer_envelope_row`): one sort and one monotone chain per row, where
@@ -472,44 +470,6 @@ def full_grid_sweep(P, steps, tol=EPS_LP):
     return certs
 
 
-def damped_warm_start(C, iters, tol):
-    """The damped multiplicative ascent of `_logmax._warm_start`, recording rejections.
-
-    C is (n, m, cells).  A step raises phi_j / n to a per-cell power beta
-    and is taken only if the objective f does not fall by more than
-    1e-14 |f|; a rejected step halves beta.  Returns (lam, x, drops):
-    drops holds, for each rejected cell-step, the fall of f divided by
-    sum_i (|log x_i| + 1), the scale of f's rounding error.
-    """
-    n, m, b = C.shape
-    lam = np.full((m, b), 1.0 / m)
-    x, f = _logmax._objective(C, lam)
-    beta = np.ones(b)
-    gain = np.zeros(b)
-    drops = []
-    for it in range(iters):
-        phi = _logmax._gradients(C, x)
-        if it % 16 == 0 and it:
-            moving = gain > 1e-13 * (1.0 + np.abs(f))
-            if not (moving & (_logmax._kkt(phi, lam, n) > tol)).any():
-                break
-        cand = phi
-        cand /= n
-        cand **= beta
-        cand *= lam
-        cand /= cand.sum(axis=0)
-        xc, fc = _logmax._objective(C, cand)
-        accept = fc >= f - 1e-14 * np.abs(f)
-        scale = (np.abs(np.log(x)) + 1.0).sum(axis=0)
-        drops.extend(((f - fc) / scale)[~accept])
-        lam = np.where(accept, cand, lam)
-        x = np.where(accept, xc, x)
-        gain = np.where(accept, fc - f, 0.0)
-        f = np.where(accept, fc, f)
-        beta = np.where(accept, np.minimum(1.0, beta * 1.2), np.maximum(beta * 0.5, 1e-4))
-    return lam, x, np.array(drops)
-
-
 def rising_chain_row(xs, ys):
     """The rising chain of one row of points, sorted and walked on its own."""
     order = np.lexsort((-ys, xs))
@@ -546,19 +506,12 @@ def first_hits_loop(payoffs, tol):
     return kept
 
 
-def newton_group(Cg, lamS):
+def newton_group(Cg, lamS, free):
     """`_logmax._newton_group` with its KKT systems assembled by a 3-operand einsum
     into a strided view, and the working set applied by masks at every step."""
     n, s, b = Cg.shape
     cols = np.arange(s)
-    rep = (Cg[:, :, None, :] == Cg[:, None, :, :]).all(axis=0).argmax(axis=1)
-    member = rep[:, None, :] == cols[None, :, None]
-    merged = np.einsum("trb,tb->rb", member, lamS)
-    held = np.take_along_axis(merged, rep, axis=0)
-    size = np.take_along_axis(member.sum(axis=0), rep, axis=0)
-    share = np.where(held > 0, lamS / np.where(held > 0, held, 1.0), 1.0 / size)
-    lamS = merged
-    free = rep == cols[:, None]
+    free = free.copy()
     x, f = _logmax._objective(Cg, lamS)
     for _ in range(_logmax._NEWTON_ITERS):
         inv = 1.0 / x
@@ -601,7 +554,7 @@ def newton_group(Cg, lamS):
         lamS = np.where(moved, cand, lamS)
         x = np.where(moved, xc, x)
         f = np.where(moved, fc, f)
-    return np.take_along_axis(lamS, rep, axis=0) * share
+    return lamS
 
 
 def reaches_witness_lp(B, x, tol=EPS_GEOM):

@@ -251,6 +251,14 @@ def test_solve_at_a_shift_reached_through_a_twin(tmp_path, capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def test_sweep_certificate_on_stdout_and_in_a_file_is_the_same_text(tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    code, out, _ = run(capsys, "solve", path("office2.json"), "--sweep", "6")
+    assert code == 0 and json.loads(out)["kind"] == "lindahl_sweep"
+    assert run(capsys, "solve", path("office2.json"), "--sweep", "6", "--out", str(cert)) == (0, "", "")
+    assert cert.read_bytes() == out.encode()
+
+
 def test_sweep_certificate_round_trip(tmp_path, capsys):
     cert = tmp_path / "c.json"
     code, _, _ = run(capsys, "solve", path("town.json"), "--sweep", "4", "--out", str(cert))

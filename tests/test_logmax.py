@@ -5,12 +5,12 @@ import pytest
 from ccm import _logmax
 from ccm import market as mk
 
-from _oracles import corpus_problem, damped_warm_start, newton_group, random_collective
+from _oracles import corpus_problem, newton_group, random_collective
 
 # Corpus problem 1 (seed 2026), shift cell 84 at 8 steps per axis.  With a
-# fourth agent who values every outcome alike (the optimum stays put), the
-# warm start leaves support columns at zero weight that the Newton step
-# wants to push negative.
+# fourth agent who values every outcome alike (the optimum stays put),
+# Newton starts uniform on the five undominated columns, and three of them
+# leave the working set on the way to the optimum on columns 3 and 5.
 BLOCKED = np.array(
     [
         [41 / 64, 1 / 64, 49 / 64, 33 / 64, 0, 9 / 64],
@@ -63,7 +63,6 @@ def test_two_agent_cells_run_no_iterative_solve(monkeypatch):
     def forbidden(*args):
         raise AssertionError("two-agent cells take the closed form")
 
-    monkeypatch.setattr(_logmax, "_warm_start", forbidden)
     monkeypatch.setattr(_logmax, "_newton_group", forbidden)
     P = mk.CollectiveProblem(corpus_problem(34))
     assert len(mk.sweep_lindahl_payoffs(P, 64)) > 100
@@ -93,7 +92,6 @@ def test_three_agent_cells_run_no_iterative_solve(monkeypatch):
     def forbidden(*args):
         raise AssertionError("three-agent cells take the closed form")
 
-    monkeypatch.setattr(_logmax, "_warm_start", forbidden)
     monkeypatch.setattr(_logmax, "_newton_group", forbidden)
     P = mk.CollectiveProblem(corpus_problem(121))
     certs = mk.sweep_lindahl_payoffs(P, 8)
@@ -174,24 +172,17 @@ def test_the_spurious_segment_root_is_rejected():
 
 def test_blocked_column_converges_without_the_long_warm_start(monkeypatch):
     assert np.array_equal(_corpus_batch(1, 8)[84], BLOCKED)
-    calls, dropped = [], []
-    warm_start, newton = _logmax._warm_start, _logmax._newton_group
+    dropped = []
+    newton = _logmax._newton_group
 
-    def recorded(C, iters, tol):
-        calls.append(iters)
-        return warm_start(C, iters, tol)
-
-    def blocked(Cg, lamS):
-        out = newton(Cg, lamS.copy())
+    def blocked(Cg, lamS, free):
+        out = newton(Cg, lamS.copy(), free)
         dropped.append(int(((lamS > 0) & (out == 0)).sum()))
         return out
 
-    monkeypatch.setattr(_logmax, "_warm_start", recorded)
     monkeypatch.setattr(_logmax, "_newton_group", blocked)
-    for C, warm in ((BLOCKED_FOUR, [40]), (BLOCKED, [])):
-        calls.clear()
-        lam, _, resid = _logmax.maximize_log_sum_batch(C[None], warm_iters=40)
-        assert calls == warm
+    for C in (BLOCKED_FOUR, BLOCKED):
+        lam, _, resid = _logmax.maximize_log_sum_batch(C[None])
         assert resid[0] <= 1e-11 and _kkt_residual(C[None], lam)[0] <= 1e-11
         assert np.nonzero(lam[0] > 1e-8)[0].tolist() == [3, 5]
     # The three-agent cell takes the closed form, with no Newton step.
@@ -234,11 +225,9 @@ def test_a_transposed_view_solves_as_its_contiguous_copy(batch):
         _logmax.maximize_log_sum_batch(zero_row.transpose(2, 0, 1))
 
 
-@pytest.mark.parametrize("warm_iters", [300, 0])
-def test_residual_within_tolerance_on_random_batches(warm_iters):
-    # warm_iters=0 hands every cell of one agent or of four to the Newton
-    # phase from the uniform lottery; two- and three-agent cells take the
-    # closed form.
+def test_residual_within_tolerance_on_random_batches():
+    # Cells of one agent or of four take the Newton working sets; two- and
+    # three-agent cells take the closed form.
     rng = np.random.default_rng(41)
     seen_single = seen_duplicate = False
     for _ in range(60):
@@ -255,7 +244,7 @@ def test_residual_within_tolerance_on_random_batches(warm_iters):
         C = C[(C.max(axis=2) > 0).all(axis=1)]
         if not len(C):
             continue
-        lam, value, resid = _logmax.maximize_log_sum_batch(C, warm_iters=warm_iters)
+        lam, value, resid = _logmax.maximize_log_sum_batch(C)
         assert lam.shape == (len(C), m) and lam.min() >= 0
         assert np.abs(lam.sum(axis=1) - 1).max() <= 1e-12
         assert resid.max() <= 1e-11
@@ -265,13 +254,37 @@ def test_residual_within_tolerance_on_random_batches(warm_iters):
     assert seen_single and seen_duplicate
 
 
+@pytest.mark.parametrize("n, m", [(4, 400), (5, 300), (6, 200)])
+def test_sphere_octant_cells_converge(n, m):
+    # A smooth frontier: every point is undominated, so the working set
+    # grows from the _WORK of largest product.  The EM ascent and Newton
+    # on its support patterns missed the tolerance on each of these.
+    P = np.abs(np.random.default_rng(0).normal(size=(m, n)))
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    C = np.ascontiguousarray(P.T[None])
+    lam, _, resid = _logmax.maximize_log_sum_batch(C)
+    assert resid[0] <= 1e-11 and _kkt_residual(C, lam)[0] <= 1e-11
+
+
+def test_a_working_set_that_pays_an_agent_nothing_takes_its_best_column():
+    # Every column pays some agent nothing, so every product is zero and
+    # the first working set is the first _WORK columns, which pay agent 0
+    # nothing.  Agent 0's best column joins it, and takes weight 1/4.
+    t = np.linspace(0.1, 1.4, 20)
+    arc = np.vstack([np.zeros(20), np.cos(t), np.sin(t) * 0.6, np.sin(t) * 0.8])
+    C = np.hstack([arc, [[1.0], [0.0], [0.0], [0.0]]])[None]
+    lam, _, resid = _logmax.maximize_log_sum_batch(C)
+    assert resid[0] <= 1e-11 and _kkt_residual(C, lam)[0] <= 1e-11
+    assert lam[0, -1] == pytest.approx(0.25, abs=1e-12)
+
+
 def test_one_column_supports_skip_newton(monkeypatch):
     sizes = []
     newton = _logmax._newton_group
 
-    def recorded(Cg, lamS):
+    def recorded(Cg, lamS, free):
         sizes.append(Cg.shape[1])
-        return newton(Cg, lamS)
+        return newton(Cg, lamS, free)
 
     monkeypatch.setattr(_logmax, "_newton_group", recorded)
     C = _shift_batch(random_collective(np.random.default_rng(2026), n=4), 5)
@@ -283,7 +296,7 @@ def test_one_column_supports_skip_newton(monkeypatch):
     for cell in single[::16]:
         j = np.flatnonzero(lam[cell])
         assert lam[cell, j] == 1.0
-        assert newton(C[cell][:, j, None], np.ones((1, 1))) == 1.0
+        assert newton(C[cell][:, j, None], np.ones((1, 1)), np.ones((1, 1), dtype=bool)) == 1.0
 
 
 def test_one_outcome_batches_take_the_one_column_rule():
@@ -301,84 +314,50 @@ def test_one_outcome_batches_take_the_one_column_rule():
         assert resid.min() >= 0 and resid.max() <= 1e-15
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
-def test_support_groups_equal_unique_columns(m):
-    rng = np.random.default_rng(m)
-    masks = [
-        rng.random((m, 4096)) < 0.3,
-        rng.random((m, 50)) < 0.5,
-        np.tile(rng.random((m, 1)) < 0.5, (1, 40)),  # every cell alike
-        np.ones((m, 1), dtype=bool),
-        np.unique(rng.random((m, 64)) < 0.5, axis=1),  # every cell distinct
-    ]
-    for supp in masks:
-        groups = _logmax._support_groups(supp)
-        patterns, inverse = np.unique(supp.T, axis=0, return_inverse=True)
-        assert len(groups) == len(patterns)
-        for g, (cells, pattern) in enumerate(zip(groups, patterns)):
-            # Each group lists its cells in ascending order, as a mask would.
-            assert np.array_equal(cells, np.flatnonzero(inverse.ravel() == g))
-            assert np.array_equal(supp[:, cells[0]], pattern)
-
-
-def test_ascent_equals_the_damped_ascent_up_to_rounding_rejections():
-    # EM never lowers the objective, so the damping the ascent once had
-    # rejected no step on the corpus.  It did reject steps whose fall of f
-    # was rounding, where |f| is small next to its n log terms (seed 5
-    # draws such batches); the two ascents part there in the last bits.
-    scaled = list(_scaled_batches(5, 40))
-    assert {C.shape[1] for C in scaled} == {1, 2, 3, 4}
-    rejecting = []
-    for C in [_corpus_batch(0, 64), _corpus_batch(1, 8), *scaled]:
-        C = np.ascontiguousarray(C.transpose(1, 2, 0))
-        lam, x = _logmax._warm_start(C, 64, 1e-11)
-        ref_lam, ref_x, drops = damped_warm_start(C, 64, 1e-11)
-        assert drops.max(initial=0.0) <= 1e-15
-        rejecting.append(drops.size > 0)
-        if not drops.size:
-            assert np.array_equal(lam, ref_lam) and np.array_equal(x, ref_x)
-    assert not any(rejecting[:2]) and any(rejecting[2:])
-
-
-def _same_newton(Cg, lamS, newton=_logmax._newton_group):
-    out = newton(Cg, lamS.copy())
-    ref = newton_group(Cg, lamS.copy())
+def _same_newton(Cg, lamS, free, newton=_logmax._newton_group):
+    out = newton(Cg, lamS.copy(), free)
+    ref = newton_group(Cg, lamS.copy(), free)
     assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
     return out
 
 
 def test_newton_assembly_equals_the_einsum_assembly_on_corpus_sweeps(monkeypatch):
-    groups = []
+    widest, dropped = [], []
 
-    def checked(Cg, lamS):
-        groups.append(Cg.shape)
-        return _same_newton(Cg, lamS)
+    def checked(Cg, lamS, free):
+        out = _same_newton(Cg, lamS, free)
+        widest.append(free.sum(axis=0).max())
+        dropped.append(((lamS > 0) & (out == 0)).sum())
+        return out
 
     monkeypatch.setattr(_logmax, "_newton_group", checked)
     rng = np.random.default_rng(2026)
-    # Two- and three-agent cells take the closed form and one-column supports
+    # Two- and three-agent cells take the closed form and one-column blocks
     # skip Newton, so the sweeps are of four agents.
     for _ in range(10):
         mk.sweep_lindahl_payoffs(mk.CollectiveProblem(random_collective(rng, n=4)), 5)
     monkeypatch.undo()
-    assert len(groups) > 40 and max(s for _, s, _ in groups) >= 4
+    assert max(widest) >= 4 and sum(dropped) > 0
 
 
 def test_newton_assembly_equals_the_einsum_assembly_on_random_batches():
-    # Supports of 1 to 12 columns (the diagonal sum runs unrolled from 9),
-    # columns that coincide within a cell, and columns at zero weight that
-    # block the step.
+    # Working sets of 1 to 12 columns (the diagonal sum runs unrolled from
+    # 9), padded at the end with copies of column 0 as `_compact` pads them,
+    # and columns at zero weight that block the step.  Of exact twins only
+    # the first is free, as `_undominated` keeps only the first: on a
+    # flat face the split between free twins is rounding.
     rng = np.random.default_rng(14)
     dropped = 0
     for _ in range(60):
         n, s, b = int(rng.integers(1, 5)), int(rng.integers(1, 13)), int(rng.integers(1, 60))
         Cg = rng.integers(0, 9, size=(n, s, b)) / 8.0
         Cg[:, 0] = np.maximum(Cg[:, 0], 0.125)
-        if s > 2:
-            Cg[:, -1] = Cg[:, 1]
-        lamS = rng.uniform(0, 1, size=(s, b)) * (rng.random((s, b)) > 0.3)
+        free = np.arange(s)[:, None] < rng.integers(1, s + 1, size=b)
+        free &= (Cg[:, :, None] == Cg[:, None]).all(axis=0).argmax(axis=1) == np.arange(s)[:, None]
+        Cg = np.where(free, Cg, Cg[:, :1])
+        lamS = rng.uniform(0, 1, size=(s, b)) * (rng.random((s, b)) > 0.3) * free
         lamS[0] += 0.01
         lamS /= lamS.sum(axis=0)
-        out = _same_newton(Cg * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1)), lamS)
+        out = _same_newton(Cg * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1)), lamS, free)
         dropped += int(((lamS > 0) & (out == 0)).sum())
     assert dropped > 0
