@@ -33,22 +33,6 @@ def _corpus_batch(index, steps):
     return _shift_batch(corpus_problem(index), steps)
 
 
-def _scaled_batches(seed, count):
-    """Shift batches with zero entries, a duplicated column and per-agent scales 1e-6 to 1e6."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(2, 11))
-        u = rng.integers(0, 9, size=(n, m)) / 8.0
-        u[:, -1] = u[:, 0]
-        u[:, 0] = np.maximum(u[:, 0], 0.125)
-        shifts = rng.uniform(0, 1, size=(int(rng.integers(1, 40)), n)) * u.max(axis=1)
-        C = np.maximum(u[None] - shifts[:, :, None], 0.0)
-        C = C[(C.max(axis=2) > 0).all(axis=1)]
-        if len(C):
-            yield C * 10.0 ** rng.uniform(-6, 6, size=(1, n, 1))
-
-
 def _kkt_residual(C, lam):
     """max_j phi_j - n and |phi_j - n| on the support, over n; recomputed here."""
     n = C.shape[1]
@@ -257,11 +241,11 @@ def test_residual_within_tolerance_on_random_batches():
 @pytest.mark.parametrize("n, m", [(4, 400), (5, 300), (6, 200)])
 def test_sphere_octant_cells_converge(n, m):
     # A smooth frontier: every point is undominated, so the working set
-    # grows from the _WORK of largest product.  The EM ascent and Newton
-    # on its support patterns missed the tolerance on each of these.
+    # grows from the _WORK of largest product.  Each of these cells once
+    # raised ConvergenceError.
     P = np.abs(np.random.default_rng(0).normal(size=(m, n)))
     P /= np.linalg.norm(P, axis=1, keepdims=True)
-    C = np.ascontiguousarray(P.T[None])
+    C = P.T[None]
     lam, _, resid = _logmax.maximize_log_sum_batch(C)
     assert resid[0] <= 1e-11 and _kkt_residual(C, lam)[0] <= 1e-11
 
