@@ -209,9 +209,11 @@ def test_a_transposed_view_solves_as_its_contiguous_copy(batch):
         _logmax.maximize_log_sum_batch(zero_row.transpose(2, 0, 1))
 
 
-def test_residual_within_tolerance_on_random_batches():
+@pytest.mark.parametrize("extra_cells", [300, 0])
+def test_residual_within_tolerance_on_random_batches(extra_cells):
     # Cells of one agent or of four take the Newton working sets; two- and
-    # three-agent cells take the closed form.
+    # three-agent cells take the closed form.  extra_cells more shifts per
+    # batch put many cells of mixed supports into the same working-set blocks.
     rng = np.random.default_rng(41)
     seen_single = seen_duplicate = False
     for _ in range(60):
@@ -223,7 +225,8 @@ def test_residual_within_tolerance_on_random_batches():
             seen_duplicate = True
         seen_single |= m == 1
         u[:, 0] = np.maximum(u[:, 0], 0.125)
-        shifts = rng.uniform(0, 1, size=(int(rng.integers(1, 40)), n)) * u.max(axis=1)
+        cells = int(rng.integers(1, 40)) + extra_cells
+        shifts = rng.uniform(0, 1, size=(cells, n)) * u.max(axis=1)
         C = np.maximum(u[None] - shifts[:, :, None], 0.0)
         C = C[(C.max(axis=2) > 0).all(axis=1)]
         if not len(C):
