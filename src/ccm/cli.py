@@ -4,6 +4,11 @@ Problems and certificates are single JSON documents (schemas ship in
 ccm/schemas).  Results go to stdout, diagnostics to stderr; exit codes
 are part of the interface.  Certificates embed a hash of the problem
 file so verify cannot be pointed at the wrong instance.
+
+Each schema is compiled on first use into a plain predicate, and a
+document that passes it is valid.  Only a document that fails it loads
+jsonschema, which meta-checks the schema and reports its `best_match`
+error, so a valid file is checked without importing jsonschema.
 """
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import re
 import sys
 from importlib import resources
 
@@ -27,66 +33,178 @@ EXIT_INADMISSIBLE = 2
 EXIT_NON_MEMBER = 3
 
 
+_DIALECT = "https://json-schema.org/draft/2020-12/schema"
+_NUMBER = (int, float)
+_TYPES = {
+    "array": (list,),
+    "boolean": (bool,),
+    "integer": (int,),
+    "null": (type(None),),
+    "number": _NUMBER,
+    "object": (dict,),
+    "string": (str,),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(name: str) -> dict:
+    with resources.files("ccm.schemas").joinpath(name).open("rb") as fh:
+        return json.load(fh)
+
+
+@functools.lru_cache(maxsize=None)
+def _predicate(name: str):
+    """The compiled check of one shipped schema, built on first use."""
+    return _compile(_schema(name))
+
+
 @functools.lru_cache(maxsize=None)
 def _validator(name: str):
-    """The validator of one shipped schema, checked against its meta-schema once."""
+    """The stock validator of one shipped schema, checked against its meta-schema once."""
     import jsonschema
 
-    with resources.files("ccm.schemas").joinpath(name).open("rb") as fh:
-        schema = json.load(fh)
+    schema = _schema(name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return _with_number_arrays(cls, schema)(schema)
-
-
-def _with_number_arrays(cls, root: dict):
-    """`cls` with an `items` keyword that passes an array of plain numbers in one step.
-
-    When the items subschema admits every number by its type alone, an
-    array of plain ints and floats (not bools) yields no error, which is
-    what descending into each element would find; any other array goes
-    to the stock keyword, so the error stream is the stock one.  Local
-    `$ref`s resolve against `root`, as in a schema with no embedded `$id`.
-    """
-    import jsonschema
-
-    stock = cls.VALIDATORS["items"]
-
-    def items(validator, subschema, instance, schema):
-        if not (
-            type(instance) is list
-            and _admits_numbers(subschema, root)
-            and all(type(x) in (int, float) for x in instance)
-        ):
-            yield from stock(validator, subschema, instance, schema)
-
-    return jsonschema.validators.extend(cls, {"items": items})
-
-
-def _admits_numbers(schema, root: dict) -> bool:
-    """True iff `schema` is `{"type": T}` with "number" in T, or a lone local `$ref` to one."""
-    if isinstance(schema, dict) and schema.keys() == {"$ref"}:
-        ref = schema["$ref"]
-        if not ref.startswith("#/") or "~" in ref or "%" in ref:
-            return False
-        schema = root
-        for key in ref[2:].split("/"):
-            if not isinstance(schema, dict) or key not in schema:
-                return False
-            schema = schema[key]
-    if not isinstance(schema, dict) or schema.keys() != {"type"}:
-        return False
-    kind = schema["type"]
-    return kind == "number" or isinstance(kind, list) and "number" in kind
+    return cls(schema)
 
 
 def schema_validate(doc, name: str) -> None:
-    """Raise what `jsonschema.validate(doc, schema)` raises, without re-checking the schema."""
-    from jsonschema.exceptions import best_match
+    """Raise what `jsonschema.validate(doc, schema)` raises, without re-checking the schema.
 
-    error = best_match(_validator(name).iter_errors(doc))
-    if error is not None:
-        raise error
+    A document that passes the compiled predicate is valid.  Only one that
+    fails it loads jsonschema, whose `best_match` error is raised.
+    """
+    if not _predicate(name)(doc):
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_validator(name).iter_errors(doc))
+        if error is not None:
+            raise error
+
+
+def _compile(root: dict):
+    """A predicate that is True exactly when stock 2020-12 validation against `root` passes.
+
+    Documents are values as `json.load` builds them, so types are tested
+    exactly: a bool is not a number, an integer-valued float is an
+    integer, and `enum`/`const` tell True from 1.  Only the keywords the
+    shipped schemas use compile, with local `$ref`s resolved against
+    `root`; any other keyword or form raises NotImplementedError here.
+    """
+    if root.get("$schema") != _DIALECT:
+        raise NotImplementedError(f"dialect {root.get('$schema')!r}")
+
+    def target(ref: str) -> dict:
+        if not (ref == "#" or ref.startswith("#/")) or "~" in ref or "%" in ref:
+            raise NotImplementedError(f"$ref {ref!r}")
+        schema = root
+        for key in ref[2:].split("/") if ref != "#" else ():
+            schema = schema[key]
+        return schema
+
+    def node(schema, skip=()):
+        if type(schema) is not dict:
+            raise NotImplementedError(f"schema {schema!r}")
+        checks = [
+            check
+            for key, value in schema.items()
+            if key not in skip
+            for check in [keyword(key, value, schema)]
+            if check is not None
+        ]
+        return _every(checks)
+
+    def keyword(key, value, schema):
+        if key == "type":
+            return _type_check(value)[1]
+        if key in ("enum", "const"):
+            values = value if key == "enum" else [value]
+            if any(type(v) in (list, dict) for v in values):
+                raise NotImplementedError(f"{key} {value!r}")
+            keys = {(type(v) is bool, v) for v in values}
+            return lambda x: type(x) not in (list, dict) and (type(x) is bool, x) in keys
+        if key == "required":
+            names = tuple(value)
+            return lambda x: type(x) is not dict or all(k in x for k in names)
+        if key == "properties":
+            pairs = [(k, node(v)) for k, v in value.items()]
+
+            def properties(x):
+                if type(x) is dict:
+                    for k, check in pairs:
+                        if k in x and not check(x[k]):
+                            return False
+                return True
+
+            return properties
+        if key == "additionalProperties":
+            if value is not False:
+                raise NotImplementedError(f"additionalProperties {value!r}")
+            known = frozenset(schema.get("properties", ()))
+            return lambda x: type(x) is not dict or x.keys() <= known
+        if key == "items":
+            each = node(value)
+            inner = value
+            while inner.keys() == {"$ref"}:
+                inner = target(inner["$ref"])
+            if inner.keys() != {"type"}:
+                return lambda x: type(x) is not list or all(map(each, x))
+            # One pass over the element types; the per-element check runs
+            # only for an array that fails it, e.g. integer-valued floats.
+            exact = _type_check(inner["type"])[0]
+            return lambda x: type(x) is not list or set(map(type, x)) <= exact or all(map(each, x))
+        if key == "minItems":
+            return lambda x: type(x) is not list or len(x) >= value
+        if key == "maxItems":
+            return lambda x: type(x) is not list or len(x) <= value
+        # Written as stock writes them, so NaN passes both bounds.
+        if key == "minimum":
+            return lambda x: type(x) not in _NUMBER or not x < value
+        if key == "exclusiveMinimum":
+            return lambda x: type(x) not in _NUMBER or not x <= value
+        if key == "pattern":
+            search = re.compile(value).search
+            return lambda x: type(x) is not str or search(x) is not None
+        if key == "anyOf":
+            options = [node(s) for s in value]
+            return lambda x: any(check(x) for check in options)
+        if key == "allOf":
+            return _every([node(s) for s in value])
+        if key == "if":
+            condition, then = node(value), node(schema.get("then", {}))
+            return lambda x: not condition(x) or then(x)
+        if key == "then":
+            return None  # applied by "if"; stock ignores it alone
+        if key == "$ref":
+            return node(target(value))
+        raise NotImplementedError(f"keyword {key!r}")
+
+    return node(root, skip=("$schema", "$id", "$defs", "title"))
+
+
+def _every(checks: list):
+    if len(checks) == 1:
+        return checks[0]
+
+    def every(x):
+        for check in checks:
+            if not check(x):
+                return False
+        return True
+
+    return every
+
+
+def _type_check(kinds):
+    """(exact Python types, check) for a `type` keyword's value."""
+    names = [kinds] if type(kinds) is str else kinds
+    if type(names) is not list or not set(names) <= _TYPES.keys():
+        raise NotImplementedError(f"type {kinds!r}")
+    exact = frozenset(t for name in names for t in _TYPES[name])
+    if "integer" in names and float not in exact:
+        return exact, lambda x: type(x) in exact or type(x) is float and x.is_integer()
+    return exact, lambda x: type(x) in exact
 
 
 def _fail(message: str, code: int = EXIT_ERROR) -> int:
@@ -247,7 +365,10 @@ def cmd_verify(args) -> int:
     tol = cert["tolerances"].get("eps_lp", EPS_LP) if args.tol is None else args.tol
     if not _positive(tol):
         return _fail("the tolerance must be a positive finite number")
-    report = _reverify(doc, cert, tol)
+    try:
+        report = _reverify(doc, cert, tol)
+    except OverflowError:  # an integer beyond float range; the schema's "number" admits it
+        return _fail("numbers must be finite")
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_ERROR
 
@@ -548,13 +669,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    import jsonschema  # several MB, loaded only once a command runs
-
     args = _parser().parse_args(argv)
     try:
         # Looked up per call, so a rebound cmd_* function takes effect.
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
+    # The tuple is built only once an exception arrives.  A ValidationError
+    # comes only from schema_validate, which has loaded jsonschema by then;
+    # until it is loaded, ValueError stands in for it.
+    except (
+        ValueError,
+        OSError,
+        KeyError,
+        json.JSONDecodeError,
+        getattr(sys.modules.get("jsonschema"), "ValidationError", ValueError),
+    ) as exc:
         return _fail(str(exc))
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -442,3 +444,75 @@ def test_an_integer_beyond_float_range_is_not_finite(doc, tmp_path, capsys):
     code, out, err = run(capsys, "nash", str(problem))
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "numbers must be finite"}
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["nash", "cakes.json"], ["q", 1]),
+        (["nash", "cakes.json"], ["payoffs", 0]),
+        (["solve", "town.json"], ["alpha", 0]),
+        (["solve", "town.json"], ["c", 1]),
+        (["match", "pair.json"], ["q", 0]),
+        (["match", "pair.json"], ["pi", 0, 0]),
+        (["nash", "cakes-bargaining.json"], ["point", 0]),
+        (["solve", "town.json", "--sweep", "4"], ["certificates", 0, "q", 0]),
+        (["solve", "town.json", "--sweep", "4"], ["payoffs", 0, 1]),
+        (["equitable", "cakes-bargaining.json", "--point", "0.75,0.5"], ["witness", "scale", 0]),
+        (["equitable", "cakes-bargaining.json", "--point", "0.75,0.5"], ["witness", "base", 1]),
+        (["exchange", "office1.json"], ["prices", "additive", 0]),
+        (["exchange", "office1.json"], ["theta", "weights", 0]),
+    ],
+)
+def test_an_integer_beyond_float_range_in_a_certificate_is_not_finite(argv, where, tmp_path, capsys):
+    command, name, *rest = argv
+    cert = tmp_path / "cert.json"
+    if command == "exchange":  # no command writes a walras_exchange certificate
+        doc = {"kind": "walras_exchange", "version": "0", "tolerances": {},
+               "problem_sha256": cli._load_problem(path(name))[1],
+               "prices": {"additive": [2.0, 1.0, 0.0]},
+               "theta": {"weights": [0.5, 0.5], "allocations": [[1, 2, 4], [4, 2, 1]]}}
+    else:
+        assert run(capsys, command, path(name), *rest, "--out", str(cert))[0] == 0
+        doc = json.loads(cert.read_text())
+    cert.write_text(json.dumps(doc))
+    assert run(capsys, "verify", path(name), str(cert))[0] == 0
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = int("9" * 400)
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", path(name), str(cert))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "numbers must be finite"}
+
+
+def _in_a_new_interpreter(*argv):
+    """`ccm argv` in a new Python process: (exit code, whether it loaded jsonschema, stderr)."""
+    script = "import sys; from ccm import cli; code = cli.main(sys.argv[1:]); " \
+             "print('jsonschema' in sys.modules); sys.exit(code)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    return done.returncode, done.stdout.splitlines()[-1] == "True", done.stderr
+
+
+def test_valid_files_are_checked_without_loading_jsonschema(tmp_path):
+    cert, report = str(tmp_path / "nash.json"), str(tmp_path / "report.json")
+    assert _in_a_new_interpreter("nash", path("cakes.json"), "--out", cert) == (0, False, "")
+    assert _in_a_new_interpreter("verify", path("cakes.json"), cert, "--out", report) == (0, False, "")
+
+
+def test_an_invalid_problem_file_gets_the_stock_message(tmp_path):
+    from importlib import resources
+
+    import jsonschema
+    from jsonschema.exceptions import best_match
+
+    doc = {"type": "collective", "utilities": [[1, True], [0, 1]]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    schema = json.loads(resources.files("ccm.schemas").joinpath("problem.schema.json").read_text())
+    stock = best_match(jsonschema.validators.validator_for(schema)(schema).iter_errors(doc))
+    expected = json.dumps({"error": str(stock)}) + "\n"
+    assert _in_a_new_interpreter("nash", str(bad)) == (1, True, expected)

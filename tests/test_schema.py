@@ -1,8 +1,8 @@
 """`cli.schema_validate` reports what the stock jsonschema validator reports.
 
-The shipped validators pass an array of plain numbers in one step
-(`cli._with_number_arrays`); every document, valid or not, must still get
-the stock `best_match` error, or none.
+A document passes on each schema's compiled predicate (`cli._compile`),
+which must be True exactly when stock validation passes; every document,
+valid or not, must still get the stock `best_match` error, or none.
 """
 import contextlib
 import copy
@@ -73,8 +73,14 @@ def _assert_same_report(doc, name: str):
     return ours
 
 
+def test_shipped_schemas_pass_their_meta_schema():
+    # `ccm` meta-checks a schema only once a document fails its predicate.
+    for name in (PROBLEM, CERTIFICATE):
+        jsonschema.validators.validator_for(_schema(name)).check_schema(_schema(name))
+
+
 def test_shipped_schemas_are_single_resources():
-    # The override resolves local `$ref`s against the document root, which
+    # The predicate resolves local `$ref`s against the document root, which
     # is right only while no subschema opens a resource of its own.
     def embedded_ids(node):
         children = list(node.values()) if isinstance(node, dict) else node if isinstance(node, list) else []
@@ -87,25 +93,6 @@ def test_shipped_schemas_are_single_resources():
 def test_every_fixture_document_is_valid_on_both_validators():
     for name, doc in _documents():
         assert _assert_same_report(doc, name) is None
-
-
-def test_number_rows_skip_the_stock_keyword():
-    # Spy on the stock `items`: no array of plain numbers under a number-only
-    # subschema may reach it, so a certificate's rows cost one pass each.
-    schema = _schema(CERTIFICATE)
-    cls = jsonschema.validators.validator_for(schema)
-    stock = cls.VALIDATORS["items"]
-    seen = []
-
-    def spy(validator, items, instance, schema):
-        seen.append(instance)
-        yield from stock(validator, items, instance, schema)
-
-    spied = jsonschema.validators.extend(cls, {"items": spy})
-    cert = {"kind": "lindahl", "version": "0", "problem_sha256": "0" * 64, "tolerances": {},
-            "p": [[1.0, 2, 0.5]] * 3}
-    assert not list(cli._with_number_arrays(spied, schema)(schema).iter_errors(cert))
-    assert [len(rows) for rows in seen] == [3]  # the outer list of rows only
 
 
 @pytest.mark.parametrize(
@@ -157,18 +144,45 @@ ARRAYS = {
 @pytest.mark.parametrize(
     "doc",
     [{"bounded_def": [1, -1]}, {"ref_with_sibling": [2, -1.5]}, {"bounded": [-1]},
-     {"integers": [1, 1.5]}, {"two_hops": [3, -3]}, {"plain": [1, "2"]}],
+     {"integers": [1, 1.5]}, {"two_hops": [3, -3]}, {"plain": [1, "2"]}, {"plain": [1, True]}],
 )
 def test_schemas_that_constrain_more_than_type_get_the_stock_errors(doc):
-    cls = jsonschema.validators.validator_for(ARRAYS)
-    ours = best_match(cli._with_number_arrays(cls, ARRAYS)(ARRAYS).iter_errors(doc))
-    stock = best_match(cls(ARRAYS).iter_errors(doc))
-    assert stock is not None and _reported(ours) == _reported(stock)
+    # The predicate rejects each array, so schema_validate reports stock's error.
+    assert cli._compile(ARRAYS)(doc) is False
+    assert not jsonschema.validators.validator_for(ARRAYS)(ARRAYS).is_valid(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [{"integers": [1, 2.0]}, {"bounded": [0, 0.5]}, {"two_hops": [0, 3]}, {"plain": []}]
+)
+def test_arrays_valid_on_the_stock_validator_pass_the_predicate(doc):
+    assert cli._compile(ARRAYS)(doc) is True
+    assert jsonschema.validators.validator_for(ARRAYS)(ARRAYS).is_valid(doc)
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"if": {"type": "string"}, "then": {"minItems": 1}, "else": {"type": "array"}},
+        {"prefixItems": [{"type": "number"}]},
+        {"type": "object", "additionalProperties": {"type": "number"}},
+        {"$ref": "other.json#/$defs/number"},
+        {"$ref": "#/$defs/a~1b"},
+        {"type": "float"},
+        {"type": "array", "items": True},
+        {"enum": [[1, 2]]},
+        {"properties": {"x": {"$id": "x", "type": "number"}}},
+        {"$schema": "http://json-schema.org/draft-07/schema#", "type": "number"},
+    ],
+)
+def test_unsupported_keywords_and_forms_raise_at_compile_time(schema):
+    with pytest.raises(NotImplementedError):
+        cli._compile({"$schema": ARRAYS["$schema"], **schema})
 
 
 # -- mutations ---------------------------------------------------------------
 
-LEAVES = [True, None, "x", [], {}, float("nan"), int("9" * 400)]
+LEAVES = [True, None, "x", [], {}, float("nan"), int("9" * 400), -1, 0, 1.0, 1.5]
 
 
 def _positions(node, path=()):
@@ -214,6 +228,13 @@ def _mutants(draw):
 def test_mutated_documents_get_the_stock_report(mutant):
     name, doc = mutant
     _assert_same_report(doc, name)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+@hypothesis.given(_mutants())
+def test_the_compiled_predicate_is_stock_validity(mutant):
+    name, doc = mutant
+    assert cli._predicate(name)(doc) is _stock(name).is_valid(doc)
 
 
 # -- _matrix -----------------------------------------------------------------
