@@ -1,8 +1,9 @@
 """`cli.schema_validate` reports what the stock jsonschema validator reports.
 
-A document passes on each schema's compiled predicate (`cli._compile`),
-which must be True exactly when stock validation passes; every document,
-valid or not, must still get the stock `best_match` error, or none.
+A document passes on each schema's compiled predicate
+(`ccm._schemacheck.compile_schema`), which must be True exactly when stock
+validation passes; every document, valid or not, must still get the stock
+`best_match` error, or none.
 """
 import contextlib
 import copy
@@ -18,6 +19,7 @@ import pytest
 from jsonschema.exceptions import best_match
 
 from ccm import cli
+from ccm._schemacheck import compile_schema
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -148,7 +150,7 @@ ARRAYS = {
 )
 def test_schemas_that_constrain_more_than_type_get_the_stock_errors(doc):
     # The predicate rejects each array, so schema_validate reports stock's error.
-    assert cli._compile(ARRAYS)(doc) is False
+    assert compile_schema(ARRAYS)(doc) is False
     assert not jsonschema.validators.validator_for(ARRAYS)(ARRAYS).is_valid(doc)
 
 
@@ -156,8 +158,35 @@ def test_schemas_that_constrain_more_than_type_get_the_stock_errors(doc):
     "doc", [{"integers": [1, 2.0]}, {"bounded": [0, 0.5]}, {"two_hops": [0, 3]}, {"plain": []}]
 )
 def test_arrays_valid_on_the_stock_validator_pass_the_predicate(doc):
-    assert cli._compile(ARRAYS)(doc) is True
+    assert compile_schema(ARRAYS)(doc) is True
     assert jsonschema.validators.validator_for(ARRAYS)(ARRAYS).is_valid(doc)
+
+
+KEYWORDS = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "properties": {
+        "enum": {"enum": [1, "a", None]},
+        "const": {"const": True},
+        "closed": {"properties": {"a": {}}, "additionalProperties": False},
+        "hex": {"type": "string", "pattern": "^[0-9a-f]{2}$"},
+        "positive": {"exclusiveMinimum": 0},
+        "least": {"minimum": 0},
+        "either": {"anyOf": [{"type": "integer"}, {"type": "null"}]},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"enum": 1.0}, {"enum": True}, {"enum": "a"}, {"enum": [1]}, {"const": True}, {"const": 1},
+     {"closed": {"a": 0}}, {"closed": {"a": 0, "b": 0}}, {"hex": "0f"}, {"hex": "0f\n"},
+     {"hex": "0F"}, {"positive": float("nan")}, {"positive": 0}, {"positive": "x"},
+     {"least": float("nan")}, {"least": -1}, {"least": 0},
+     {"either": 2.0}, {"either": 2.5}, {"either": False}, []],
+)
+def test_keywords_decide_as_stock_decides(doc):
+    stock = jsonschema.validators.validator_for(KEYWORDS)(KEYWORDS)
+    assert compile_schema(KEYWORDS)(doc) is stock.is_valid(doc)
 
 
 @pytest.mark.parametrize(
@@ -177,7 +206,7 @@ def test_arrays_valid_on_the_stock_validator_pass_the_predicate(doc):
 )
 def test_unsupported_keywords_and_forms_raise_at_compile_time(schema):
     with pytest.raises(NotImplementedError):
-        cli._compile({"$schema": ARRAYS["$schema"], **schema})
+        compile_schema({"$schema": ARRAYS["$schema"], **schema})
 
 
 # -- mutations ---------------------------------------------------------------
