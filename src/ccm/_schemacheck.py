@@ -45,13 +45,11 @@ def compile_schema(root: dict):
     def node(schema, skip=()):
         if type(schema) is not dict:
             raise NotImplementedError(f"schema {schema!r}")
-        checks = [
-            check
-            for key, value in schema.items()
-            if key not in skip
-            for check in [keyword(key, value, schema)]
-            if check is not None
-        ]
+        checks = []
+        for key, value in schema.items():
+            check = None if key in skip else keyword(key, value, schema)
+            if check is not None:
+                checks.append(check)
         return _every(checks)
 
     def keyword(key, value, schema):
