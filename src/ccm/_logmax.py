@@ -25,8 +25,10 @@ depends on n: a closed form for two and three agents, Newton's method
 for one agent and for four or more.
 
 For two and three agents the optimum lies on a face of at most n
-columns, where it has a closed form (`_support_optima`): every support
-of at most n working columns is a candidate.  On a segment (a, a + d)
+columns, where it has a closed form (`_support_optima`).  A cell with
+one undominated column takes that column, which weakly dominates every
+other one.  In the other cells every support of at most n working
+columns is a candidate.  On a segment (a, a + d)
 the log sum peaks where sum_i d_i / (a_i + t d_i) vanishes: for two
 agents at t* = -(d_0 a_1 + d_1 a_0) / (2 d_0 d_1) when d_0 d_1 < 0
 (Nash 1950), for three at a root of a quadratic.  On a triangle of
@@ -446,16 +448,25 @@ def _support_optima(C, tol, edges=None):
     is a candidate.  A caller that knows a two-agent set's frontier chain
     passes its edges (J, K) instead: then the columns and those segments
     are the candidates.  Rows are scaled to a largest entry of one, so the
-    pick does not depend on per-agent scale.  `_nash_face` finds each
-    cell's optimum and `_pick` the support that reaches it.  The KKT
+    pick does not depend on per-agent scale.  A cell with one kept column
+    takes it; in the others `_nash_face` finds the optimum and `_pick`
+    the support that reaches it.  The KKT
     residual re-verifies every cell.  Returns (lam, value, residual) as
     `maximize_log_sum_batch` does.
     """
     n, m, b = C.shape
     scale = C.max(axis=1, keepdims=True)
     keep = _undominated(C) if edges is None else np.ones((m, b), dtype=bool)
-    at, face = _nash_face(C, scale, keep, edges)
-    lam = _pick(*_gather(C, scale, face), at, m)
+    # A lone kept column weakly dominates every other one, so it is the
+    # optimum, as `_pick` would find it; only the other cells race.
+    one = keep.sum(axis=0) == 1
+    lam = np.zeros((m, b))
+    lam[keep[:, one].argmax(axis=0), np.flatnonzero(one)] = 1.0
+    if not one.all():
+        cells = np.flatnonzero(~one) if one.any() else slice(None)
+        Cc, sc = C[:, :, cells], scale[:, :, cells]
+        at, face = _nash_face(Cc, sc, keep[:, cells], edges)
+        lam[:, cells] = _pick(*_gather(Cc, sc, face), at, m)
     x, f = _objective(C, lam)
     resid, _ = _residuals(C, lam, x)
     missed = ~(resid <= tol)

@@ -123,13 +123,28 @@ def _collective_of(doc: dict):
     raise ValueError(f"no collective form for problem type {kind!r}")
 
 
+def _index(v, what: str, bound: int | None = None) -> int:
+    """v, if it is a JSON integer, and in range(bound) if a bound is given.
+
+    The schema's `integer` also admits integer-valued floats such as 1.0,
+    and integers of any size.
+    """
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, not {v!r}")
+    if bound is not None and not 0 <= v < bound:
+        raise ValueError(f"{what} {v} is out of range for {bound} agents")
+    return v
+
+
 def _matching_of(doc: dict) -> matching.MatchingProblem:
-    groups = tuple(tuple(g) for g in doc["groups"]) if "groups" in doc else None
-    return matching.MatchingProblem(
-        matchings=tuple(tuple(j) for j in doc["matchings"]),
-        w=_matrix(doc["weights"]),
-        groups=groups,
+    w = _matrix(doc["weights"])
+    groups = None
+    if "groups" in doc:
+        groups = tuple(tuple(_index(i, "group member") for i in g) for g in doc["groups"])
+    matchings = tuple(
+        tuple(_index(i, "matching entry", len(w)) for i in j) for j in doc["matchings"]
     )
+    return matching.MatchingProblem(matchings=matchings, w=w, groups=groups)
 
 
 def _economy_of(doc: dict) -> exchange.Economy:
@@ -138,8 +153,15 @@ def _economy_of(doc: dict) -> exchange.Economy:
         return exchange.Economy(
             n=len(doc["weights"]), names=goods, kind="additive", weights=_matrix(doc["weights"])
         )
-    n = doc.get("agents") or 1 + max(b["agent"] for b in doc["bundles"])
-    triples = [(b["agent"], b["items"], _num(b["value"])) for b in doc["bundles"]]
+    bundles = doc["bundles"]
+    agents = [_index(b["agent"], "bundle agent") for b in bundles]
+    n = _index(doc["agents"], "agents") if "agents" in doc else 1 + max(agents)
+    if n > len(bundles):  # some agent has no bundle; checked before its table is allocated
+        raise ValueError("agent with no stake: zero value for the full bundle")
+    triples = [
+        (i, [_index(g, "bundle item") for g in b["items"]], _num(b["value"]))
+        for i, b in zip(agents, bundles)
+    ]
     return exchange.economy_from_bundle_values(n, goods, triples)
 
 
@@ -300,13 +322,14 @@ def _reverify(doc: dict, cert: dict, tol: float) -> dict:
         listed = cert.get("payoffs", [None] * len(certs))
         if len(listed) != len(certs):
             raise ValueError("the payoff list and the certificates differ in length")
-        out = [
-            _verdict_json(
-                market.verify_lindahl(P, _matrix(c["p"]), np.array(c["q"]), tol),
-                _payoff_violations(P, c, tol, row),
-            )
-            for c, row in zip(certs, listed)
-        ]
+        # Each certificate's input checks run in file order; then one
+        # batched equilibrium check covers them all, as the sweep's own does.
+        p, q, extra = np.empty((len(certs), P.n, P.k)), np.empty((len(certs), P.k)), []
+        for r, (c, row) in enumerate(zip(certs, listed)):
+            p[r], q[r] = market._lindahl_inputs(P, _matrix(c["p"]), np.array(c["q"]))
+            extra.append(_payoff_violations(P, c, tol, row))
+        found = market._lindahl_violations(P, p, q, tol)
+        out = [_verdict_json(market.Verdict(not v, v), e) for v, e in zip(found, extra)]
         return {"passed": all(v["passed"] for v in out), "certificates": out}
     if kind == "walras_matching":
         M = _matching_of(doc)

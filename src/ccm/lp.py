@@ -23,7 +23,9 @@ in one call (the form every verifier uses), and `shadow_prices` the
 supporting prices (c, alpha) with alpha * p >= u - c, tight on the
 demand's support.  One monotone chain, `_rising_chain`, builds that
 envelope and the two-agent Pareto frontier of `polytope`; it sorts a
-whole stack of rows at once and walks each row's staircase in turn.
+whole stack of rows at once and walks each row's staircase in turn.  A
+tall stack walks every row's chain in lockstep instead
+(`_lockstep_peaks`), with the same float tests in the same order.
 """
 from __future__ import annotations
 
@@ -36,6 +38,10 @@ from .tolerances import EPS_LP, EPS_SUPP
 
 _PIVOT_TOL = 1e-11
 _RATIO_TIE = 1e-12
+# `consumer_envelopes` walks the chains of a stack of at least this many
+# rows in lockstep, and of a shorter stack row by row; the crossover was
+# measured at k = 6 and k = 64 outcomes (BENCH_24).
+_LOCKSTEP_ROWS = 96
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -185,26 +191,37 @@ def _check_consumer_inputs(U, P):
         raise ValueError("agent has no stake: utility row is all zeros")
 
 
-def _rising_chain(xs: np.ndarray, ys: np.ndarray):
-    """Vertices of the rising part of the upper concave envelope of each row's points.
+def _staircases(xs: np.ndarray, ys: np.ndarray):
+    """Each row's Pareto staircase, sorted by x: the points that can lie on its rising chain.
 
     xs and ys are (R, k) stacks; row r holds the points (xs[r, j], ys[r, j]).
-    Only the Pareto staircase (each point strictly above every point left
-    of it) can lie on the rising part, so one sort and one running maximum
-    over the whole stack, then a monotone chain (Andrew 1979) over each
-    row's staircase, give the vertices: x increases from the leftmost
-    point, y strictly increases, and collinear middle points are dropped.
-    Yields (hx, hy) lists row by row.  O(k log k) per row.
+    Only a point strictly above every point left of it can lie on the
+    rising part of the upper concave envelope, so one sort and one running
+    maximum over the whole stack find them.  Returns their x and y in row
+    order, x increasing within a row, and the count per row.
     """
     R, k = xs.shape
-    # Each row by x, the highest point first on ties, as flat indices.
-    order = np.lexsort((-ys, xs)) + np.arange(0, R * k, k)[:, None]
-    xs, ys = xs.take(order), ys.take(order)
+    # Each row by x, the highest point first on ties: x - iy sorts so.
+    z = np.empty((R, k), dtype=complex)
+    z.real = xs
+    np.negative(ys, out=z.imag)
+    z.sort(axis=1, kind="stable")
+    xs, ys = z.real, np.negative(z.imag, out=z.imag)
     stair = np.empty((R, k), dtype=bool)
     stair[:, 0] = True
     stair[:, 1:] = ys[:, 1:] > np.maximum.accumulate(ys, axis=1)[:, :-1]
-    counts = stair.sum(axis=1).tolist()
-    xs, ys = xs[stair].tolist(), ys[stair].tolist()
+    return xs[stair], ys[stair], stair.sum(axis=1)
+
+
+def _rising_chain(xs: np.ndarray, ys: np.ndarray):
+    """Vertices of the rising part of the upper concave envelope of each row's points.
+
+    xs and ys are (R, k) stacks.  A monotone chain (Andrew 1979) over each
+    row's staircase (`_staircases`) gives the vertices: x increases from
+    the leftmost point, y strictly increases, and collinear middle points
+    are dropped.  Yields (hx, hy) lists row by row.  O(k log k) per row.
+    """
+    xs, ys, counts = (a.tolist() for a in _staircases(xs, ys))
     start = 0
     for count in counts:
         end = start + count
@@ -223,6 +240,62 @@ def _rising_chain(xs: np.ndarray, ys: np.ndarray):
         start = end
 
 
+def _lockstep_peaks(xs, ys, counts) -> tuple[np.ndarray, np.ndarray]:
+    """`_peak` of every row's rising chain, the chains walked in lockstep.
+
+    xs, ys and counts are `_staircases`' output.  Step t pushes each row's
+    t-th staircase point, one Python step per point position and numpy
+    across the rows; its pops run the row chain's test in the same float
+    operations, so vertices and peaks are bit for bit the row chain's.
+    Each chain is kept in place in its own points, rows by decreasing
+    count, so the rows still walking are a prefix and the stack needs no
+    memory of its own.
+    """
+    R = counts.size
+    order = np.argsort(-counts, kind="stable")
+    rank = np.empty(R, dtype=np.intp)
+    rank[order] = np.arange(R)
+    L = int(counts[order[0]])
+    # X and Y are (L, R) and flat: point t of the row ranked r is at t R + r.
+    at = (np.arange(xs.size) - np.repeat(np.cumsum(counts) - counts, counts)) * R
+    at += np.repeat(rank, counts)
+    X, Y = np.empty(L * R), np.empty(L * R)
+    X[at], Y[at] = xs, ys
+    del at
+    walking = R - np.cumsum(np.bincount(counts))  # rows with more than t points
+    # Where each chain's next vertex goes: its first two points are vertices.
+    two = np.arange(2 * R, 3 * R)
+    top = two - R * (2 - np.minimum(counts[order], 2))
+    for t in range(2, L):
+        a = walking[t]
+        x, y = X[t * R : t * R + a], Y[t * R : t * R + a]
+        live = np.arange(a)
+        while live.size:
+            # Drop the last vertex while it lies on or below the chord to (x, y).
+            i1 = top[live] - R
+            i0 = i1 - R
+            xl, yl = x[live], y[live]
+            pop = (X[i1] - X[i0]) * (yl - Y[i0]) >= (Y[i1] - Y[i0]) * (xl - X[i0])
+            live = live[pop]
+            top[live] -= R
+            live = live[top[live] >= two[live]]  # chains of two or more
+        # A vertex goes to step t's own slot or an earlier one of its row.
+        X[top[:a]], Y[top[:a]] = x, y
+        top[:a] += R
+    value, cost = Y[top - R], X[top - R]
+    over = np.flatnonzero(cost > 1.0)
+    if over.size:
+        # The vertices either side of cost 1: hx[j - 1] <= 1 < hx[j], as `_peak` finds them.
+        slots = np.arange(0, L * R, R)[:, None] + over
+        j = ((X[slots] <= 1.0) & (slots < top[over])).sum(axis=0)
+        i1 = j * R + over
+        i0 = i1 - R
+        x0, y0, x1, y1 = X[i0], Y[i0], X[i1], Y[i1]
+        value[over] = y0 + (y1 - y0) * (1.0 - x0) / (x1 - x0)
+        cost[over] = 1.0
+    return value[rank], cost[rank]
+
+
 def _envelopes(U, P):
     """Vertices (costs, utilities) of each consumer's rising upper envelope.
 
@@ -233,9 +306,14 @@ def _envelopes(U, P):
     increase along the chain.  The whole stack is checked before any chain
     is built.
     """
+    return _rising_chain(*_points(U, P))
+
+
+def _points(U, P):
+    """The checked stacks U and P as (cost, utility) points, the origin first: (R, k + 1) each."""
     _check_consumer_inputs(U, P)
     zero = np.zeros((U.shape[0], 1))
-    return _rising_chain(np.concatenate((zero, P), axis=1), np.concatenate((zero, U), axis=1))
+    return np.concatenate((zero, P), axis=1), np.concatenate((zero, U), axis=1)
 
 
 def _envelope(u, p) -> tuple[list[float], list[float]]:
@@ -274,11 +352,14 @@ def consumer_envelopes(U, P) -> tuple[np.ndarray, np.ndarray]:
     """`consumer_envelope` of every row of the (R, k) stacks U and P, in one call.
 
     Returns the arrays (V, minimal cost), each of length R, equal bit for
-    bit to the one-row results.  One sort covers the whole stack; only the
-    monotone chain runs row by row.
+    bit to the one-row results.  One sort covers the whole stack.  A stack
+    of at least `_LOCKSTEP_ROWS` rows walks its monotone chains in lockstep
+    (`_lockstep_peaks`); a shorter one walks them row by row.
     """
     U = np.asarray(U, dtype=float)
     P = np.asarray(P, dtype=float)
+    if len(U) >= _LOCKSTEP_ROWS:
+        return _lockstep_peaks(*_staircases(*_points(U, P)))
     out = np.array([_peak(*chain) for chain in _envelopes(U, P)]).reshape(-1, 2).T
     return out[0], out[1]
 

@@ -17,8 +17,8 @@ other cells' shifted utilities cells last, (n, m, cells), the layout
 re-verifies all its certificates in one batched equilibrium check, with
 no thread pool: one consumer-envelope call covers every (certificate,
 agent) row.  Its first-hit payoff de-duplication compares only near
-pairs, found by one sort on the first coordinate after exact duplicates
-collapse.
+pairs: one lexicographic sort collapses exact duplicates, by comparing
+adjacent rows, and near pairs are found in that order.
 """
 from __future__ import annotations
 
@@ -252,14 +252,19 @@ def verify_lindahl(P: CollectiveProblem, p, q, tol: float = EPS_LP) -> Verdict:
     revenue equal to the best single outcome's revenue.  Gaps are judged
     as `consumer_violations` judges them; the revenue gap within tol * n.
     """
+    p, q = _lindahl_inputs(P, p, q)
+    violations = _lindahl_violations(P, p[None], q[None], tol)[0]
+    return Verdict(not violations, violations)
+
+
+def _lindahl_inputs(P: CollectiveProblem, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """The price profile and lottery `verify_lindahl` checks, as arrays; raises on bad input."""
     p = np.asarray(p, dtype=float)
     if p.shape != (P.n, P.k):
         raise ValueError("price profile has the wrong shape")
     if p.min() < 0:
         raise ValueError("prices must be nonnegative")
-    q = validate_lottery(q, P.k)
-    violations = _lindahl_violations(P, p[None], q[None], tol)[0]
-    return Verdict(not violations, violations)
+    return p, validate_lottery(q, P.k)
 
 
 def _lindahl_violations(P: CollectiveProblem, p, q, tol: float) -> list[list[Violation]]:
@@ -294,15 +299,21 @@ def _first_hits(payoffs: np.ndarray, tol: float) -> list[int]:
     row's fate depends only on the earlier kept rows, and exact duplicates
     share every distance, so each distinct row stands for its first
     occurrence and only rows with a neighbour within `tol` need the
-    ordered pass.  Sorted on coordinate 0, every such pair shows up at
-    some offset d, and the offsets stop at the first d where no two rows
-    are within `tol` in that coordinate.  The pairs are then walked in
-    order of their earlier row: a pair drops its later row while its
-    earlier row is kept.
+    ordered pass.  One stable lexicographic sort finds the distinct rows,
+    where adjacent rows differ, and their first occurrences.  In that
+    order every such pair shows up at some offset d, and the offsets stop
+    at the first d where no two rows are within `tol` in coordinate 0.
+    The pairs are then walked in order of their earlier row: a pair drops
+    its later row while its earlier row is kept.
     """
     if not len(payoffs):
         return []
-    rows, first = np.unique(payoffs, axis=0, return_index=True)  # lexicographic order
+    # Distinct rows in lexicographic order, each with its first occurrence.
+    first = np.lexsort(payoffs.T[::-1])
+    rows = payoffs[first]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rows, first = rows[new], first[new]
     earlier, later = [], []
     for d in range(1, len(rows)):
         gap = np.abs(rows[d:] - rows[:-d])

@@ -29,7 +29,9 @@ step; the library assembles the same KKT systems in contiguous arrays.
 
 The consumer envelope has its one-row form here (`rising_chain_row`,
 `consumer_envelope_row`): one sort and one monotone chain per row, where
-the library sorts a whole stack of rows at once.  Sweep de-duplication
+the library sorts a whole stack of rows at once.  It is the oracle of
+both of the library's chains: the row chain of short stacks and the
+lockstep chain of tall ones.  Sweep de-duplication
 has its quadratic first-hit loop here (`first_hits_loop`), one vector pass
 per kept row, where the library compares near pairs only.  The sweep
 itself has its full-grid form here (`full_grid_sweep`): every grid cell

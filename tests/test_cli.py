@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ccm import cli, market
+from ccm import cli, lp, market
 from ccm.tolerances import EPS_LP
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -232,6 +232,41 @@ def test_out_of_range_bundle_is_a_json_error(bundle, named, tmp_path, capsys):
     assert named in json.loads(err)["error"]
 
 
+_TABLE = {"type": "economy", "kind": "table", "goods": ["a", "b"], "agents": 2,
+          "bundles": [{"agent": 0, "items": [0], "value": "1"}, {"agent": 1, "items": [1], "value": "1"}]}
+_MATCHING = {"type": "matching", "weights": [[0, 1], [1, 0]], "matchings": [[0, 1], [1, 0]],
+             "groups": [[0], [1]]}
+
+
+@pytest.mark.parametrize(
+    "field, value, where, named",
+    [
+        ("agents", 1.0, ["agents"], "agents must be an integer, not 1.0"),
+        ("agents", 10**20, ["agents"], "agent with no stake"),
+        ("agent", 1.0, ["bundles", 1, "agent"], "bundle agent must be an integer, not 1.0"),
+        ("items", 1.0, ["bundles", 1, "items", 0], "bundle item must be an integer, not 1.0"),
+        ("matchings", 10**20, ["matchings", 1, 0], f"matching entry {10**20} is out of range"),
+        ("matchings", 1.0, ["matchings", 1, 0], "matching entry must be an integer, not 1.0"),
+        ("groups", 1.0, ["groups", 1, 0], "group member must be an integer, not 1.0"),
+    ],
+    ids=["agents_float", "agents_huge", "agent_float", "items_float", "matchings_huge",
+         "matchings_float", "groups_float"],
+)
+def test_integer_fields_hold_integers_in_range(field, value, where, named, tmp_path, capsys):
+    # The schema's `integer` admits 1.0 and integers of any size.
+    doc = json.loads(json.dumps(_MATCHING if field in ("matchings", "groups") else _TABLE))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    cli.schema_validate(doc, "problem.schema.json")
+    code, out, err = run(capsys, "nash", str(problem))
+    assert code == 1 and out == ""
+    assert named in json.loads(err)["error"]
+
+
 def test_inadmissible_shift_exit_code(capsys):
     code, _, err = run(capsys, "solve", path("town.json"), "--c", "0.9,0.9")
     assert code == 2
@@ -363,6 +398,48 @@ def test_verify_rejects_forged_sweep_payoffs(tmp_path, capsys):
     assert _reported(reports[0]) == {("listed_payoffs", 0), ("listed_payoffs", 1)}
     assert _reported(reports[-1]) == {("payoff_split", 1)}
     assert all(r["passed"] for r in reports[1:-1])
+
+
+def test_a_sweep_certificate_is_verified_in_one_batch(tmp_path, capsys, monkeypatch):
+    cert = tmp_path / "c.json"
+    assert run(capsys, "solve", path("office2.json"), "--sweep", "16", "--out", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    certs = doc["certificates"]
+    assert 3 * len(certs) >= lp._LOCKSTEP_ROWS  # the lockstep chains run
+    certs[0]["p"][1] = [2.0 * v for v in certs[0]["p"][1]]
+    certs[5]["q"] = certs[5]["q"][::-1]
+    certs[-1]["p"][2] = [1.5 * v for v in certs[-1]["p"][2]]
+    doc["payoffs"][7][0] += 1.0
+    cert.write_text(json.dumps(doc))
+    P = cli._collective_of(json.loads(open(path("office2.json")).read()))
+    expect = [
+        cli._verdict_json(
+            market.verify_lindahl(P, np.array(c["p"]), np.array(c["q"])),
+            cli._payoff_violations(P, c, EPS_LP, row),
+        )
+        for c, row in zip(certs, doc["payoffs"])
+    ]
+    batches = []
+    batched = market._lindahl_violations
+
+    def spy(P, p, q, tol):
+        batches.append(len(p))
+        return batched(P, p, q, tol)
+
+    monkeypatch.setattr(market, "_lindahl_violations", spy)
+    code, out, _ = run(capsys, "verify", path("office2.json"), str(cert))
+    assert code == 1 and batches == [len(certs)]
+    report = json.loads(out)
+    assert report["certificates"] == json.loads(json.dumps(expect))
+    assert [i for i, r in enumerate(report["certificates"]) if not r["passed"]] == [0, 5, 7, len(certs) - 1]
+    # Input errors still come in file order, before any equilibrium check.
+    batches.clear()
+    certs[3]["q"].pop()
+    certs[-2]["p"][0][0] = -1.0
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", path("office2.json"), str(cert))
+    assert (code, out, batches) == (1, "", [])
+    assert json.loads(err) == {"error": "lottery has the wrong length"}
 
 
 def test_verify_rejects_a_forged_equitable_witness(tmp_path, capsys):

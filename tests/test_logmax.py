@@ -286,6 +286,42 @@ def test_one_column_supports_skip_newton(monkeypatch):
         assert newton(C[cell][:, j, None], np.ones((1, 1)), np.ones((1, 1), dtype=bool)) == 1.0
 
 
+def test_one_undominated_column_cells_skip_the_support_race(monkeypatch):
+    # Every other cell of corpus problem 0 gets a column that dominates the
+    # rest, so the batch mixes one-column and multi-column cells.
+    C = _corpus_batch(0, 8)
+    C = C[(C.max(axis=2) > 0).all(axis=1)]
+    C[::2, :, 2] = C[::2].max(axis=2)
+    keep = _logmax._undominated(np.ascontiguousarray(C.transpose(1, 2, 0)))
+    one = keep.sum(axis=0) == 1
+    assert one.sum() == (len(C) + 1) // 2 and (one == (np.arange(len(C)) % 2 == 0)).all()
+    # The support race picks the same column for them.
+    Cl = np.ascontiguousarray(C[one].transpose(1, 2, 0))
+    scale = Cl.max(axis=1, keepdims=True)
+    at, face = _logmax._nash_face(Cl, scale, keep[:, one], None)
+    raced = _logmax._pick(*_logmax._gather(Cl, scale, face), at, C.shape[2]).T
+
+    cells = []
+    nash_face = _logmax._nash_face
+
+    def spy(C, *rest):
+        cells.append(C.shape[2])
+        return nash_face(C, *rest)
+
+    monkeypatch.setattr(_logmax, "_nash_face", spy)
+    lam, _, resid = _logmax.maximize_log_sum_batch(C)
+    assert cells == [int((~one).sum())]
+    assert np.array_equal(lam[one], np.eye(C.shape[2])[np.full(one.sum(), 2)])
+    assert lam[one].tobytes() == raced.tobytes()
+    assert resid.max() <= 1e-11
+    alone, _, _ = _logmax.maximize_log_sum_batch(C[~one])
+    assert alone.tobytes() == lam[~one].tobytes()
+    # A batch of one-column cells only never races.
+    cells.clear()
+    only, _, _ = _logmax.maximize_log_sum_batch(C[one])
+    assert cells == [] and only.tobytes() == lam[one].tobytes()
+
+
 def test_one_outcome_batches_take_the_one_column_rule():
     # lam and value as the special case for m = 1 once gave them; its
     # residual was a literal zero, and the computed one is rounding.

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -158,11 +160,27 @@ def _same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
+def _tied_rows(rng, rows, k):
+    """Utility and price rows on a coarse grid: ties, zero prices and a duplicated column."""
+    U = rng.integers(0, 5, size=(rows, k)) / 4.0
+    P = rng.integers(0, 5, size=(rows, k)) / 4.0 * (rng.random((rows, k)) > 0.3)
+    dup = rng.integers(0, k, size=rows)
+    U[:, -1], P[:, -1] = U[np.arange(rows), dup], P[np.arange(rows), dup]
+    U[U.max(axis=1) == 0, 0] = 1.0
+    return U, P
+
+
 class TestBatchedEnvelope:
-    """`lp.consumer_envelopes` against the one-row sort and chain of `_oracles`."""
+    """`lp.consumer_envelopes` against the one-row sort and chain of `_oracles`.
+
+    Stacks of at least `lp._LOCKSTEP_ROWS` rows take the lockstep chain,
+    shorter ones the row chain; `_check` asserts which one ran.
+    """
 
     def _check(self, U, P):
-        values, costs = lp.consumer_envelopes(U, P)
+        with mock.patch.object(lp, "_lockstep_peaks", wraps=lp._lockstep_peaks) as lockstep:
+            values, costs = lp.consumer_envelopes(U, P)
+        assert lockstep.called == (len(U) >= lp._LOCKSTEP_ROWS)
         expect = np.array([consumer_envelope_row(u, p) for u, p in zip(U, P)])
         assert _same_bits(values, expect[:, 0]) and _same_bits(costs, expect[:, 1])
         for u, p, e in zip(U, P, expect):
@@ -178,14 +196,22 @@ class TestBatchedEnvelope:
     def test_random_rows_with_ties_zero_prices_and_duplicates(self):
         rng = np.random.default_rng(33)
         for k in (1, 2, 3, 5, 8, 40):
-            U = rng.integers(0, 5, size=(300, k)) / 4.0
-            P = rng.integers(0, 5, size=(300, k)) / 4.0 * (rng.random((300, k)) > 0.3)
-            dup = rng.integers(0, k, size=300)
-            U[:, -1], P[:, -1] = U[np.arange(300), dup], P[np.arange(300), dup]
-            U[U.max(axis=1) == 0, 0] = 1.0
-            self._check(U, P)
+            self._check(*_tied_rows(rng, 300, k))
         U = rng.uniform(0, 1, size=(500, 6))
         self._check(U, U / rng.uniform(0.2, 2.0, size=(500, 1)))
+
+    @pytest.mark.parametrize("k", [6, 64])
+    def test_stacks_either_side_of_the_crossover(self, k):
+        rng = np.random.default_rng(k)
+        for rows in (lp._LOCKSTEP_ROWS - 1, lp._LOCKSTEP_ROWS, 8 * lp._LOCKSTEP_ROWS):
+            self._check(*_tied_rows(rng, rows, k))
+            # Prices on a grid: many chains have a vertex at cost exactly 1.
+            self._check(rng.uniform(0, 1, size=(rows, k)), rng.integers(0, 9, size=(rows, k)) / 4.0)
+            # Sweep-like rows: prices are shifted utilities over their mean,
+            # so many points lie on each chain and many chains cross cost 1.
+            U = rng.integers(1, 9, size=(rows, k)) / 8.0
+            S = np.maximum(U - rng.uniform(0, 0.9, size=(rows, 1)) * U.max(axis=1, keepdims=True), 0)
+            self._check(U, S / rng.uniform(0.2, 1.5, size=(rows, 1)) / S.mean(axis=1, keepdims=True))
 
     def test_empty_stack(self):
         values, costs = lp.consumer_envelopes(np.zeros((0, 3)), np.zeros((0, 3)))

@@ -461,8 +461,10 @@ def test_first_hit_dedup_matches_the_pairwise_loop():
         # Exact duplicates, of a kept row and of a dropped row.
         ([[1, 2], [1, 2], [1, 2 + 0.5e-6], [1, 2 + 0.5e-6], [1, 2]], [0]),
         ([[3, 3]], [0]),
+        # Near in coordinate 0, far from the row between them in the last coordinate.
+        ([[0, 0], [5, 1e-7], [1e-7, 2e-7]], [0, 1]),
     ],
-    ids=["chain", "middle_first", "second_coordinate", "duplicates", "one_row"],
+    ids=["chain", "middle_first", "second_coordinate", "duplicates", "one_row", "coordinate_0_first"],
 )
 def test_first_hits_cases(rows, expect):
     rows = np.array(rows, dtype=float)
@@ -480,6 +482,18 @@ def test_first_hits_on_a_vertical_edge():
         rows[:, 1] = np.cumsum(rng.uniform(0, 1e-6, size=200)) * rng.choice([1, -1])
         rows = rows[rng.permutation(200)]
         assert mk._first_hits(rows, 1e-6) == first_hits_loop(rows, 1e-6)
+
+
+def test_first_hits_on_duplicate_heavy_rows():
+    same = np.full((4096, 3), 0.25)
+    assert mk._first_hits(same, 1e-6) == first_hits_loop(same, 1e-6) == [0]
+    # Rows that differ only in their last coordinate, with many exact
+    # duplicates and chains of near neighbours.
+    rng = np.random.default_rng(21)
+    last = np.ones((4096, 3))
+    last[:, 2] = rng.integers(0, 600, size=4096) * 0.4e-6
+    kept = mk._first_hits(last, 1e-6)
+    assert kept == first_hits_loop(last, 1e-6) and 1 < len(kept) < 600
 
 
 def test_first_hits_equal_the_loop_on_corpus_sweeps(monkeypatch):
