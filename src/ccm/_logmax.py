@@ -457,22 +457,29 @@ def _support_optima(C, tol, edges=None):
     n, m, b = C.shape
     scale = C.max(axis=1, keepdims=True)
     keep = _undominated(C) if edges is None else np.ones((m, b), dtype=bool)
-    # A lone kept column weakly dominates every other one, so it is the
-    # optimum, as `_pick` would find it; only the other cells race.
     one = keep.sum(axis=0) == 1
-    lam = np.zeros((m, b))
-    lam[keep[:, one].argmax(axis=0), np.flatnonzero(one)] = 1.0
-    if not one.all():
-        cells = np.flatnonzero(~one) if one.any() else slice(None)
-        Cc, sc = C[:, :, cells], scale[:, :, cells]
-        at, face = _nash_face(Cc, sc, keep[:, cells], edges)
-        lam[:, cells] = _pick(*_gather(Cc, sc, face), at, m)
+    if one.any():
+        # A lone kept column weakly dominates every other one, so it is the
+        # optimum, as `_pick` would find it; only the other cells race.
+        lam = np.zeros((m, b))
+        lam[keep[:, one].argmax(axis=0), np.flatnonzero(one)] = 1.0
+        if not one.all():
+            many = ~one
+            lam[:, many] = _race(C[:, :, many], scale[:, :, many], keep[:, many], edges)
+    else:
+        lam = _race(C, scale, keep, edges)
     x, f = _objective(C, lam)
     resid, _ = _residuals(C, lam, x)
     missed = ~(resid <= tol)
     if missed.any():
         raise _missed(tol, int(missed.sum()))
     return np.ascontiguousarray(lam.T), f, resid
+
+
+def _race(C, scale, keep, edges):
+    """The (m, cells) lottery of `_nash_face`'s optimum on the support `_pick` picks."""
+    at, face = _nash_face(C, scale, keep, edges)
+    return _pick(*_gather(C, scale, face), at, C.shape[1])
 
 
 def _nash_face(C, scale, keep, edges):
