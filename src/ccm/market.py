@@ -123,9 +123,21 @@ def utility_shift_embed(P: CollectiveProblem, lam) -> CollectiveProblem:
     return CollectiveProblem(P.u + lam[:, None])
 
 
+def _distinct_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A's distinct rows in lexicographic order, and the index of each one's first occurrence.
+
+    One stable sort; a row is new where it differs from the row before it.
+    """
+    first = np.lexsort(A.T[::-1])
+    rows = A[first]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[new], first[new]
+
+
 def _unique_columns(U: np.ndarray) -> np.ndarray:
     """First-occurrence representatives of identical columns, in column order."""
-    return np.sort(np.unique(U.T, axis=0, return_index=True)[1])
+    return np.sort(_distinct_rows(U.T)[1])
 
 
 def nash_allocation(P: CollectiveProblem) -> np.ndarray:
@@ -297,23 +309,17 @@ def _first_hits(payoffs: np.ndarray, tol: float) -> list[int]:
 
     A row is kept when no earlier kept row lies within `tol` of it.  A
     row's fate depends only on the earlier kept rows, and exact duplicates
-    share every distance, so each distinct row stands for its first
-    occurrence and only rows with a neighbour within `tol` need the
-    ordered pass.  One stable lexicographic sort finds the distinct rows,
-    where adjacent rows differ, and their first occurrences.  In that
-    order every such pair shows up at some offset d, and the offsets stop
-    at the first d where no two rows are within `tol` in coordinate 0.
+    share every distance, so each distinct row (`_distinct_rows`) stands
+    for its first occurrence, and only rows with a neighbour within `tol`
+    need the ordered pass.  In the distinct rows' lexicographic order
+    every such pair shows up at some offset d, and the offsets stop at
+    the first d where no two rows are within `tol` in coordinate 0.
     The pairs are then walked in order of their earlier row: a pair drops
     its later row while its earlier row is kept.
     """
     if not len(payoffs):
         return []
-    # Distinct rows in lexicographic order, each with its first occurrence.
-    first = np.lexsort(payoffs.T[::-1])
-    rows = payoffs[first]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    rows, first = rows[new], first[new]
+    rows, first = _distinct_rows(payoffs)
     earlier, later = [], []
     for d in range(1, len(rows)):
         gap = np.abs(rows[d:] - rows[:-d])
