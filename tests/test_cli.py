@@ -233,7 +233,8 @@ def test_out_of_range_bundle_is_a_json_error(bundle, named, tmp_path, capsys):
 
 
 _TABLE = {"type": "economy", "kind": "table", "goods": ["a", "b"], "agents": 2,
-          "bundles": [{"agent": 0, "items": [0], "value": "1"}, {"agent": 1, "items": [1], "value": "1"}]}
+          "bundles": [{"agent": 0, "items": [0], "value": "1"},
+                      {"agent": 1, "items": [1], "value": "1"}]}
 _MATCHING = {"type": "matching", "weights": [[0, 1], [1, 0]], "matchings": [[0, 1], [1, 0]],
              "groups": [[0], [1]]}
 
@@ -431,7 +432,8 @@ def test_a_sweep_certificate_is_verified_in_one_batch(tmp_path, capsys, monkeypa
     assert code == 1 and batches == [len(certs)]
     report = json.loads(out)
     assert report["certificates"] == json.loads(json.dumps(expect))
-    assert [i for i, r in enumerate(report["certificates"]) if not r["passed"]] == [0, 5, 7, len(certs) - 1]
+    failed = [i for i, r in enumerate(report["certificates"]) if not r["passed"]]
+    assert failed == [0, 5, 7, len(certs) - 1]
     # Input errors still come in file order, before any equilibrium check.
     batches.clear()
     certs[3]["q"].pop()

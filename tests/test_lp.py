@@ -210,8 +210,9 @@ class TestBatchedEnvelope:
             # Sweep-like rows: prices are shifted utilities over their mean,
             # so many points lie on each chain and many chains cross cost 1.
             U = rng.integers(1, 9, size=(rows, k)) / 8.0
-            S = np.maximum(U - rng.uniform(0, 0.9, size=(rows, 1)) * U.max(axis=1, keepdims=True), 0)
-            self._check(U, S / rng.uniform(0.2, 1.5, size=(rows, 1)) / S.mean(axis=1, keepdims=True))
+            c = rng.uniform(0, 0.9, size=(rows, 1)) * U.max(axis=1, keepdims=True)
+            S = np.maximum(U - c, 0)
+            self._check(U, S / S.mean(axis=1, keepdims=True) / rng.uniform(0.2, 1.5, size=(rows, 1)))
 
     def test_empty_stack(self):
         values, costs = lp.consumer_envelopes(np.zeros((0, 3)), np.zeros((0, 3)))

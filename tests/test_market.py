@@ -461,7 +461,7 @@ def test_first_hit_dedup_matches_the_pairwise_loop():
         # Exact duplicates, of a kept row and of a dropped row.
         ([[1, 2], [1, 2], [1, 2 + 0.5e-6], [1, 2 + 0.5e-6], [1, 2]], [0]),
         ([[3, 3]], [0]),
-        # Near in coordinate 0, far from the row between them in the last coordinate.
+        # Rows 0 and 2 are near; sorted on the last coordinate, row 1 would part them.
         ([[0, 0], [5, 1e-7], [1e-7, 2e-7]], [0, 1]),
     ],
     ids=["chain", "middle_first", "second_coordinate", "duplicates", "one_row", "coordinate_0_first"],
