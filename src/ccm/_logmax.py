@@ -41,13 +41,18 @@ peak the log sum is flat to second order, so objective values alone
 cannot tell the Nash point from a column 1e-8 off it; the KKT
 conditions can.  A smaller support therefore beats a larger one only if
 it meets them within `_TIE`, and only the few candidates that reach the
-best value are checked, each in O(m).  The Nash point is unique, so
-candidates tie when they land on it: among those whose point is within
-rounding of the best point the smallest support wins, then the
-shortest, then the first.  Only columns on the optimal face can be in
-such a support, so the pick takes its candidates from them.  On a flat
-optimal face the lottery thus sits on the fewest columns nearest the
-Nash point.
+best value enter that race, each checked in O(m).  Every support size is
+evaluated once per round, from one table of supports per size
+(`_subsets`): a one-cell solve on up to 24 working columns makes n
+evaluations per round.  The Nash point is unique, so candidates tie
+when they land on it: among those whose point is within rounding of the
+best point the smallest support wins, then the shortest, then the
+first.  Such a candidate's product is within rounding of the best one,
+so the race keeps the few candidates near each cell's best product, and
+the pick chooses among them without evaluating a support again.  Only
+columns on the optimal face can be in such a support, and all of them
+are in the last round's working set.  On a flat optimal face the
+lottery thus sits on the fewest columns nearest the Nash point.
 
 Candidates are evaluated in blocks of at most `_PAIR_BLOCK` (cell,
 support) entries, so memory stays bounded at any m; a working set bounds
@@ -79,7 +84,8 @@ over agents and outcomes run across all cells at once.
 """
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -205,69 +211,61 @@ def _newton_group(Cg, lamS, free):
     return lamS
 
 
+@lru_cache(maxsize=64)
 def _subsets(k, s):
-    """The s-subsets of range(k), s <= 3, in lexicographic order.
+    """The s-subsets of range(k) as a read-only (s, C(k, s)) table, in `combinations` order."""
+    table = np.fromiter(chain.from_iterable(combinations(range(k), s)), dtype=np.intp)
+    table = np.ascontiguousarray(table.reshape(-1, s).T)
+    table.setflags(write=False)
+    return table
 
-    Yields (s, count) groups, one per first element.
+
+def _blocks(b, S):
+    """(cells, supports) blocks over b cells and the (s, p) supports S.
+
+    A block holds at most `_PAIR_BLOCK` (cell, support) entries.  Each
+    cell meets its supports in their order.
     """
-    if s == 1:
-        yield np.arange(k)[None]
-        return
-    for i in range(k - s + 1):
-        if s == 2:
-            rest = np.arange(i + 1, k)[None]
-        else:
-            rest = np.array(np.triu_indices(k - 1 - i, 1)) + i + 1
-        yield np.vstack([np.full(rest.shape[1], i), rest])
+    for lo in range(0, S.shape[1], _PAIR_BLOCK):
+        part = S[:, lo : lo + _PAIR_BLOCK]
+        rows = max(1, _PAIR_BLOCK // part.shape[1])
+        for cell in range(0, b, rows):
+            yield slice(cell, min(cell + rows, b)), part
 
 
-def _blocks(b, groups):
-    """(first rank, cells, supports) blocks over b cells and the supports of `groups`.
-
-    A block holds at most `_PAIR_BLOCK` (cell, support) entries.  Supports
-    keep their order, and their rank counts across `groups`.
-    """
-    first = 0
-    for g in groups:
-        for lo in range(0, g.shape[1], _PAIR_BLOCK):
-            S = g[:, lo : lo + _PAIR_BLOCK]
-            rows = max(1, _PAIR_BLOCK // S.shape[1])
-            for cell in range(0, b, rows):
-                yield first + lo, slice(cell, min(cell + rows, b)), S
-        first += g.shape[1]
+# The face's plane is w.x = 1 with w.C_j = 1 on its three columns, and the
+# log sum peaks on it at x_i = 1 / (3 w_i) (Eisenberg & Gale 1959).  With
+# k_j the cross product of the two columns after j (cyclically), that is
+# c[_NEXT] * c[_LAST] - c[_LAST_NEXT] * c[_NEXT_LAST] over (agent, column),
+# w = N / det for N = k_0 + k_1 + k_2 and det = C_0 . k_0, and the lottery
+# is lam_j = x . k_j / det = sum_i k_ji / (3 N_i).
+_NEXT, _LAST = np.ix_([1, 2, 0], [1, 2, 0]), np.ix_([2, 0, 1], [2, 0, 1])
+_LAST_NEXT, _NEXT_LAST = np.ix_([2, 0, 1], [1, 2, 0]), np.ix_([1, 2, 0], [2, 0, 1])
 
 
 def _candidates(U, S):
     """Stationary points of sum_i log x_i on the supports S in each cell of U.
 
     U is (n, m, cells) and S is (s, p) column indices.  Returns the
-    supports' columns (n, s, p, cells), their stationary points (n, p,
-    cells), the points' products and the lotteries on S (s, p, cells).  A
-    support whose stationary point is not strictly inside it gets product
-    -inf.
+    stationary points (n, p, cells), their products and the lotteries on S
+    (s, p, cells).  A support whose stationary point is not strictly inside
+    it gets product -inf.
     """
     c = U[:, S]
     n, s = c.shape[:2]
     if s == 1:
         x = c[:, 0]
-        return c, x, x.prod(axis=0), np.broadcast_to(1.0, (1,) + x.shape[1:])
+        return x, x.prod(axis=0), np.broadcast_to(1.0, (1,) + x.shape[1:])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if s == 3:
-            # The face's plane is w.x = 1 with w.C_j = 1 on its three columns,
-            # and the log sum peaks on it at x_i = 1 / (3 w_i) (Eisenberg & Gale
-            # 1959).  With k_j the cross product of the two columns after j
-            # (cyclically), w = N / det for N = k_0 + k_1 + k_2 and
-            # det = C_0 . k_0, and the lottery is lam_j = x . k_j / det =
-            # sum_i k_ji / (3 N_i).
-            i, j = [1, 2, 0], [2, 0, 1]
-            k = c[np.ix_(i, i)] * c[np.ix_(j, j)] - c[np.ix_(j, i)] * c[np.ix_(i, j)]
+            k = c[_NEXT] * c[_LAST] - c[_LAST_NEXT] * c[_NEXT_LAST]
             N = k.sum(axis=1)
             det = (c[:, 0] * k[:, 0]).sum(axis=0)
             lam = (k / N[:, None]).sum(axis=0)
             inside = (N * det > 0).all(axis=0) & (lam > 0).all(axis=0)
             lam /= lam.sum(axis=0)
             x = (c * lam).sum(axis=1)
-            return c, x, np.where(inside, x.prod(axis=0), -np.inf), lam
+            return x, np.where(inside, x.prod(axis=0), -np.inf), lam
         a, d = c[:, 0], c[:, 1] - c[:, 0]
         if n == 2:
             # (a_0 + t d_0)(a_1 + t d_1) peaks inside the segment only if d_0 d_1 < 0.
@@ -294,7 +292,7 @@ def _candidates(U, S):
                 prod = np.where(better, value, prod)
                 t = np.where(better, root, t)
                 x = np.where(better, y, x)
-    return c, x, prod, np.stack([1.0 - t, t])
+    return x, prod, np.stack([1.0 - t, t])
 
 
 def _lands_on(x, at):
@@ -302,118 +300,93 @@ def _lands_on(x, at):
     return (np.abs(x - at) <= _TIE * at).all(axis=0)
 
 
-def _tops(U, count, groups, ceiling):
-    """Each cell's support of highest product, the first of equals, that comes after `ceiling`.
+def _nash_points(U, count, tables):
+    """Each cell's log-welfare optimum over the supports of `tables`, and the candidates near it.
 
-    Supports with a column at or past the cell's count are padding and do
-    not count.  ceiling, if given, is a (product, rank) pair per cell; a
-    support comes after it in the order of decreasing product, then
-    increasing rank.  Returns (product, point, rank) per cell.
-    """
-    n, _, b = U.shape
-    best = np.full(b, -np.inf)
-    at = np.zeros((n, b))
-    rank = np.full(b, -1)
-    for first, cells, S in _blocks(b, groups):
-        _, x, prod, _ = _candidates(U[:, :, cells], S)
-        out = S[-1][:, None] >= count[cells]
-        if ceiling is not None:
-            r = np.arange(first, first + S.shape[1])[:, None]
-            f, k = ceiling[0][cells], ceiling[1][cells]
-            out |= (prod > f) | ((prod == f) & (r <= k))
-        prod[out] = -np.inf
-        k = prod.argmax(axis=0)
-        r = np.flatnonzero(prod[k, np.arange(len(k))] > best[cells])
-        k, rows = k[r], cells.start + r
-        best[rows] = prod[k, r]
-        at[:, rows] = x[:, k, r]
-        rank[rows] = first + k
-    return best, at, rank
-
-
-def _nash_points(U, count, levels):
-    """Each cell's log-welfare optimum over the supports of `levels`, as an (n, cells) point.
-
-    levels[s - 1]() yields the supports of s columns.  The best support of
-    the largest size sets the point.  A smaller support takes its place
-    when it reaches at least that product (strictly, against a support no
-    larger than itself) and meets the KKT conditions within `_TIE`; one
-    that reaches it but fails them leaves the race, and the next is tried.
-    """
-    n, _, b = U.shape
-    best, at, _ = _tops(U, count, levels[-1](), None)
-    size = np.full(b, len(levels))
-    for s in range(1, len(levels)):
-        live, ceiling = np.arange(b), None
-        while live.size:
-            sub = slice(None) if ceiling is None else live
-            Ul = U[:, :, sub]
-            f, x, r = _tops(Ul, count[sub], levels[s - 1](), ceiling)
-            race = (f > -np.inf) & ((f > best[sub]) | ((f == best[sub]) & (s < size[sub])))
-            # phi at the support's own point is n, so the largest phi is its
-            # KKT residual; padding columns do not count.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phi = Ul[0] / x[0]
-                for i in range(1, n):
-                    phi += Ul[i] / x[i]
-            phi[np.arange(len(phi))[:, None] >= count[sub]] = 0.0
-            ok = race & (phi.max(axis=0) <= n * (1.0 + _TIE))
-            won = live[ok]
-            best[won], at[:, won], size[won] = f[ok], x[:, ok], s
-            race &= ~ok
-            live, ceiling = live[race], (f[race], r[race])
-    return at
-
-
-def _shortest(U, count, s, groups, at, cells):
-    """For each of `cells`, the shortest s-support landing within `_TIE` of `at`.
-
-    The first of equals wins.  Returns (settled, supports, lotteries): a
-    mask over `cells`, and (s, len(cells)) arrays.
-    """
-    b = len(cells)
-    shortest = np.full(b, np.inf)
-    supp, weight = np.zeros((s, b), dtype=np.intp), np.zeros((s, b))
-    for _, block, S in _blocks(b, groups):
-        sel = cells[block]
-        c, x, prod, w = _candidates(U[:, :, sel], S)
-        lands = (prod > -np.inf) & (S[-1][:, None] < count[sel]) & _lands_on(x, at[:, None, sel])
-        # Squared lengths around the closed edge cycle: a segment's edge counts twice.
-        e = c - c[:, np.arange(s) - 1]
-        length = np.where(lands, (e * e).sum(axis=0).sum(axis=0), np.inf)
-        k = length.argmin(axis=0)
-        r = np.flatnonzero(length[k, np.arange(len(k))] < shortest[block])
-        k, rows = k[r], block.start + r
-        shortest[rows] = length[k, r]
-        supp[:, rows] = S[:, k]
-        weight[:, rows] = w[:, k, r]
-    return shortest < np.inf, supp, weight
-
-
-def _pick(U, idx, count, at, m):
-    """The (m, cells) lottery on the support of U's columns that lands on `at`.
-
-    U holds each cell's columns on the optimal face (`_FACE`), the only
-    ones a landing support can use, and idx maps them to columns of the
-    lottery.  Of the supports that land, the smallest wins, then the
-    shortest, then the first.  Sizes are tried in increasing order, each
-    on the cells no smaller support settled.
+    tables[s - 1] holds the supports of s columns; a support with a column
+    at or past its cell's count is padding.  Each size is evaluated once,
+    the largest first: its best support sets the point.  A smaller support
+    enters when it reaches at least the cell's best product (strictly,
+    against a support no larger than itself), and the KKT test within
+    `_TIE` runs on the entrants only; the largest product that passes wins,
+    then the first.  Returns the (n, cells) points and, per size, the
+    candidates whose product was within 4 `_TIE` of their cell's best when
+    their block was done, as (cells, supports, points, lotteries), each
+    cell's in the order of its supports: the best only grows, and a point
+    within `_TIE` of the final one in every coordinate has a product within
+    3 `_TIE` of its product.
     """
     n, k, b = U.shape
-    lam = np.zeros((m, b))
-    # A column is its own point: the first that lands settles its cell.
-    hit = _lands_on(U, at[:, None]) & (np.arange(k)[:, None] < count)
-    done = hit.any(axis=0)
-    cells = np.flatnonzero(done)
-    lam[idx[hit[:, cells].argmax(axis=0), cells], cells] = 1.0
-    open_ = np.flatnonzero(~done)
-    for s in range(2, n + 1):
-        if not open_.size:
-            break
-        done, supp, weight = _shortest(U, count, s, _subsets(k, s), at, open_)
-        cells = open_[done]
-        lam[idx[supp[:, done], cells], cells] = weight[:, done]
-        open_ = open_[~done]
+    best = np.full(b, -np.inf)
+    at = np.zeros((n, b))
+    size = np.full(b, n)
+    near = [[] for _ in tables]
+    for s in (n, *range(1, n)):
+        for cells, S in _blocks(b, tables[s - 1]):
+            Ub = U[:, :, cells]
+            x, prod, lam = _candidates(Ub, S)
+            prod[S[-1][:, None] >= count[cells]] = -np.inf
+            f = best[cells]
+            enter = prod > f
+            if s < n:
+                enter |= (prod == f) & ((f > -np.inf) & (s < size[cells]))
+            # Each cell's entrants in the order of decreasing product, then
+            # increasing rank, until one passes.
+            left = np.where(enter, prod, -np.inf)
+            while True:
+                j = left.argmax(axis=0)
+                r = np.flatnonzero(left[j, np.arange(len(j))] > -np.inf)
+                j, failed = j[r], False
+                if s < n and r.size:
+                    # phi at a support's own point is n, so the largest phi is
+                    # its KKT residual; padding columns do not count.
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        phi = Ub[0][:, r] / x[0, j, r]
+                        for i in range(1, n):
+                            phi += Ub[i][:, r] / x[i, j, r]
+                    phi[np.arange(k)[:, None] >= count[cells][r]] = 0.0
+                    ok = phi.max(axis=0) <= n * (1.0 + _TIE)
+                    failed = not ok.all()
+                    if failed:
+                        left[j, r] = -np.inf
+                        left[:, r[ok]] = -np.inf
+                        j, r = j[ok], r[ok]
+                rows = cells.start + r
+                best[rows], at[:, rows], size[rows] = prod[j, r], x[:, j, r], s
+                if not failed:
+                    break
+            j, r = np.nonzero(prod >= np.maximum(best[cells] * (1.0 - 4 * _TIE), 0.0))
+            if j.size:
+                near[s - 1].append((cells.start + r, S[:, j], x[:, j, r], lam[:, j, r]))
+    return at, near
+
+
+def _pick(U, idx, at, face, near, m):
+    """The (m, cells) lottery on the candidate support that lands on `at`.
+
+    near holds `_nash_points`' candidates near each cell's best product,
+    among them every one that lands within `_TIE` of `at`; idx maps U's
+    columns to columns of the lottery.  Of the candidates that land and
+    whose columns are all on the optimal face (face, an (m, cells) mask),
+    the smallest support wins, then the shortest, then the first.
+    """
+    lam = np.zeros((m, at.shape[1]))
+    settled = np.zeros(at.shape[1], dtype=bool)
+    for s, found in enumerate(near, 1):
+        if not found:
+            continue
+        cells, S, x, w = (np.concatenate(a, axis=-1) for a in zip(*found))
+        cols = idx[S, cells]
+        ok = ~settled[cells] & face[cols, cells].all(axis=0) & _lands_on(x, at[:, cells])
+        cells, S, cols, w = cells[ok], S[:, ok], cols[:, ok], w[:, ok]
+        # Squared lengths around the closed edge cycle: a segment's edge counts
+        # twice.  The sort is stable, so of equals the first support wins.
+        c = U[:, S, cells]
+        e = c - c[:, np.arange(s) - 1]
+        order = np.lexsort(((e * e).sum(axis=0).sum(axis=0), cells))
+        top = order[np.diff(cells[order], prepend=-1) != 0]
+        lam[cols[:, top], cells[top]] = w[:, top]
+        settled[cells[top]] = True
     return lam
 
 
@@ -449,8 +422,8 @@ def _support_optima(C, tol, edges=None):
     passes its edges (J, K) instead: then the columns and those segments
     are the candidates.  Rows are scaled to a largest entry of one, so the
     pick does not depend on per-agent scale.  A cell with one kept column
-    takes it; in the others `_nash_face` finds the optimum and `_pick`
-    the support that reaches it (`_race`).  The KKT residual re-verifies
+    takes it; in the others `_race` finds the optimum and the support
+    that reaches it.  The KKT residual re-verifies
     every cell.  Returns (lam, value, residual) as
     `maximize_log_sum_batch` does.
     """
@@ -477,38 +450,37 @@ def _support_optima(C, tol, edges=None):
 
 
 def _race(C, scale, keep, edges):
-    """The (m, cells) lottery of `_nash_face`'s optimum on the support `_pick` picks."""
-    at, face = _nash_face(C, scale, keep, edges)
-    return _pick(*_gather(C, scale, face), at, C.shape[1])
-
-
-def _nash_face(C, scale, keep, edges):
-    """Each cell's optimum over its kept columns (n, cells), and a mask of those on its face.
+    """The (m, cells) lottery on the support `_pick` picks at the optimum over the kept columns.
 
     The optimum is `_nash_points`' on a working set of the kept columns,
     padded to the batch's largest count.  A cell with more than `_WORK`
     starts from the `_WORK` of largest product, and each round adds at
     most `_WORK` of the kept columns that break the KKT conditions at the
     optimum, the most violated first, until none does (column generation).
+    The pick reads the last round's candidates, so kept columns on the
+    optimal face (`_FACE`) then join the working set too, if any is left out.
     """
     n = C.shape[0]
     work = keep
     if edges is None and keep.sum(axis=0).max() > _WORK:
         work = _largest((C / scale).prod(axis=0), keep)
     while True:
-        U, _, count = _gather(C, scale, work)
-        levels = [partial(_subsets, U.shape[1], s) for s in range(1, n + 1)]
+        U, idx, count = _gather(C, scale, work)
+        tables = [_subsets(U.shape[1], s) for s in range(1, n + 1 if edges is None else 2)]
         if edges is not None:
-            levels[1] = lambda: [np.vstack(edges)]
-        at = _nash_points(U, count, levels)
+            tables.append(np.vstack(edges))
+        at, near = _nash_points(U, count, tables)
         with np.errstate(divide="ignore", invalid="ignore"):
             phi = _gradients(C, at * scale[:, 0])
         # A working set with no positive point (all its products zero)
         # leaves at = 0, where phi is infinite or NaN: the largest violation.
         phi[np.isnan(phi)] = np.inf
+        face = keep & (phi >= n * (1.0 - _FACE))
         grow = keep & ~work & (phi > n * (1.0 + _TIE))
         if not grow.any():
-            return at, keep & (phi >= n * (1.0 - _FACE))
+            grow = face & ~work
+            if not grow.any():
+                return _pick(U, idx, at, face, near, C.shape[1])
         work = work | _largest(phi, grow)
 
 

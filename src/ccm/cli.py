@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -175,11 +176,51 @@ def _bargaining_of(doc: dict) -> polytope.Polytope:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    # json.dump writes the text piece by piece: a large sweep's certificate
-    # is never held in memory as one string.
+    # The text of json.dump(doc, fh, sort_keys=True, indent=2), written piece
+    # by piece so that a large sweep's certificate is never held in memory
+    # as one string (`_write_json`).
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        _write_json(fh, doc, "\n")
         fh.write("\n")
+
+
+_NUMBERS = {float, int}
+
+
+def _write_json(fh, value, pad: str) -> None:
+    """Write value as json.dump(value, fh, sort_keys=True, indent=2) would, nested at pad.
+
+    Dicts with string keys, and lists that hold anything but numbers, are
+    written item by item.  A finite float or int is its repr in JSON, so a
+    list of them is one C-level join, in place of the pure-Python
+    encoder's work per number.  Anything else, inf and NaN among them,
+    takes json.dumps, re-indented: its text holds no raw line break but
+    those of the layout.
+    """
+    inner = pad + "  "
+    kind = type(value)
+    if kind is dict and value and set(map(type, value)) == {str}:
+        for i, key in enumerate(sorted(value)):
+            fh.write(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(fh, value[key], inner)
+        fh.write(pad + "}")
+    elif kind is list and value and not set(map(type, value)) <= _NUMBERS:
+        for i, item in enumerate(value):
+            fh.write(("," if i else "[") + inner)
+            _write_json(fh, item, inner)
+        fh.write(pad + "]")
+    elif kind is str:
+        fh.write(encode_basestring_ascii(value))
+    else:
+        if kind in _NUMBERS:
+            text = repr(value)
+        elif kind is list and value:  # of numbers only, by the branch above
+            text = "[" + inner + ("," + inner).join(map(repr, value)) + pad + "]"
+        else:
+            text = "n"
+        if "n" in text:  # inf, nan and every other value
+            text = json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+        fh.write(text)
 
 
 def _lindahl_payload(cert: market.LindahlCertificate) -> dict:
@@ -216,8 +257,12 @@ def cmd_solve(args) -> int:
     tol = EPS_LP if args.tol is None else args.tol
     if not _positive(tol):
         return _fail("the tolerance must be a positive finite number")
+    if args.sweep is not None and args.sweep < 1:
+        return _fail("--sweep needs a positive number of grid steps")
+    if args.sweep is not None and args.c is not None:
+        return _fail("--c and --sweep exclude each other: a sweep chooses its own shifts")
     P = _collective_of(doc)
-    if args.sweep:
+    if args.sweep is not None:
         certs = market.sweep_lindahl_payoffs(P, grid_steps=args.sweep, tol=tol)
         payload = _base("lindahl_sweep", digest, tol)
         payload["certificates"] = [_lindahl_payload(c) for c in certs]

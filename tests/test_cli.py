@@ -297,6 +297,70 @@ def test_sweep_certificate_on_stdout_and_in_a_file_is_the_same_text(tmp_path, ca
     assert cert.read_bytes() == out.encode()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--sweep", "0"], "positive number of grid steps"),
+        (["--sweep", "-1"], "positive number of grid steps"),
+        (["--sweep", "2", "--c", "0,0"], "--c and --sweep exclude each other"),
+        (["--c", "0,0", "--sweep", "4"], "--c and --sweep exclude each other"),
+    ],
+)
+def test_a_sweep_needs_positive_steps_and_no_shift(argv, named, tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    code, out, err = run(capsys, "solve", path("town.json"), *argv, "--out", str(cert))
+    assert code == 1 and out == "" and not cert.exists()
+    assert named in json.loads(err)["error"]
+
+
+def _indented(text):
+    """The text json.dump(doc, fh, sort_keys=True, indent=2) writes for the document in text."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(DATA) if f.endswith(".json")))
+def test_command_output_is_the_stock_indented_text(name, tmp_path, capsys):
+    doc = json.loads(open(path(name)).read())
+    if doc["type"] == "bargaining":
+        commands = [["nash"], ["commodify", "--mode", "general"]]
+        commands += [["commodify", "--mode", "two"]] if len(doc["generators"][0]) == 2 else []
+    else:
+        commands = [["nash"], ["solve"], ["solve", "--sweep", "3"]]
+        commands += [["match"]] if doc["type"] == "matching" else []
+    for argv in commands:
+        code, out, err = run(capsys, argv[0], path(name), *argv[1:])
+        assert code == 0 and out == _indented(out) + "\n", (argv, err)
+    if doc["type"] != "bargaining":
+        cert = tmp_path / "sweep.json"
+        assert run(capsys, "solve", path(name), "--sweep", "4", "--out", str(cert)) == (0, "", "")
+        text = cert.read_text()
+        assert text == _indented(text) + "\n"
+        code, out, _ = run(capsys, "verify", path(name), str(cert))
+        assert code == 0 and out == _indented(out) + "\n"
+        _, point, _ = run(capsys, "nash", path(name))
+        x = ",".join(repr(v) for v in json.loads(point)["payoffs"])
+        code, out, _ = run(capsys, "equitable", path(name), "--point", x)
+        assert out == _indented(out) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {}, [], {"a": {}, "b": []}, [[]], [{}], [[1, [2.5, []]], [[[-3]]]],
+        ["a, b", ", ", "x"], {"k, v": ["1, 2", 3]}, [True, False, None],
+        {"b": True, "a": None, "c": False}, [0, -7, 10**30], [-0.0, 1e300, -1e-300, 5e-324],
+        {"é": "ü\n\"", "z": [1.0, "\t"]}, [float("inf"), -float("inf")], 12, "s, t", None,
+        [0.5, float("nan")], {"a": [[1e16, 0.1], [float("inf")]]}, -0.0, 1e300, False,
+    ],
+)
+def test_the_emitter_writes_the_stock_indented_text(value):
+    import io
+
+    fh = io.StringIO()
+    cli._write_json(fh, value, "\n")
+    assert fh.getvalue() == json.dumps(value, sort_keys=True, indent=2)
+
+
 def test_sweep_certificate_round_trip(tmp_path, capsys):
     cert = tmp_path / "c.json"
     code, _, _ = run(capsys, "solve", path("town.json"), "--sweep", "4", "--out", str(cert))

@@ -1,8 +1,12 @@
 """Direct tests of the batched log-welfare solver in `ccm._logmax`."""
+import json
+import os
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from ccm import _logmax
+from ccm import _logmax, cli
 from ccm import market as mk
 
 from _oracles import corpus_problem, newton_group, random_collective
@@ -140,6 +144,107 @@ def test_working_sets_give_the_pick_of_every_support(monkeypatch):
         if C is cluster:
             assert np.abs(C[0] @ grown[0][0] - 1 / 3).max() <= 1e-15
     assert grown[0][0, -1] == pytest.approx(1 / 3, abs=1e-15)
+
+
+def test_support_tables_are_the_combinations():
+    for k in range(1, 41):
+        for s in (1, 2, 3):
+            table = _logmax._subsets(k, s)
+            want = np.array(list(combinations(range(k), s)), dtype=np.intp).reshape(-1, s).T
+            assert table.shape == want.shape and np.array_equal(table, want)
+            assert not table.flags.writeable and _logmax._subsets(k, s) is table
+
+
+def _fixture_cells():
+    """Each fixture's one-cell problem: a market's distinct outcome columns, or a set's generators less d."""
+    data = os.path.join(os.path.dirname(__file__), "data")
+    cells = {}
+    for name in sorted(os.listdir(data)):
+        doc = json.load(open(os.path.join(data, name)))
+        if doc["type"] == "bargaining":
+            B = cli._bargaining_of(doc)
+            cells[name] = (B.generators - B.disagreement).T
+        else:
+            u = cli._collective_of(doc).u
+            cells[name] = u[:, mk._unique_columns(u)]
+    return cells
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_a_fixtures_one_cell_solve_is_its_cell_in_a_batch(monkeypatch, block):
+    # The cell sits between 30 shifted copies of itself; its lottery may
+    # not depend on the blocks or on the other cells.
+    monkeypatch.setattr(_logmax, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(5)
+    for name, C in _fixture_cells().items():
+        shifted = np.maximum(C[None] - rng.uniform(0, 0.6, (30, len(C), 1)) * C.max(axis=1)[:, None], 0.0)
+        batch = np.concatenate([shifted[:15], C[None], shifted[15:]])
+        batch = batch[(batch.max(axis=2) > 0).all(axis=1)]
+        at = next(i for i in range(len(batch)) if np.array_equal(batch[i], C))
+        alone, alone_value, _ = _logmax.maximize_log_sum_batch(C[None])
+        lam, value, _ = _logmax.maximize_log_sum_batch(batch)
+        assert lam[at].tobytes() == alone[0].tobytes(), name
+        assert value[at] == pytest.approx(alone_value[0], abs=1e-12)
+
+
+def _cluster_cell():
+    """20 columns just below the plane through three far columns, whose centre is the Nash point."""
+    near = 1 / 3 + np.random.default_rng(12).uniform(-0.02, 0.02, size=(3, 20))
+    near -= (near.sum(axis=0) - 0.99) / 3
+    return np.hstack([near, np.array([[18, 1, 1], [1, 18, 1], [1, 1, 18]]) / 20])
+
+
+@pytest.mark.parametrize("cell", ["office2", "cluster"])
+def test_one_cell_solves_evaluate_each_size_once_per_round(monkeypatch, cell):
+    # office2 has six undominated outcomes and takes one round.  The
+    # cluster's first working set is _WORK of its 20 near columns, and the
+    # far ones join in a second round.  Each round evaluates each support
+    # size in one call, and the pick evaluates none.
+    C = _fixture_cells()["office2.json"] if cell == "office2" else _cluster_cell()
+    calls, outside, racing = [], [], []
+    candidates, nash_points = _logmax._candidates, _logmax._nash_points
+
+    def counted(U, S):
+        (calls if racing else outside).append(len(S))
+        return candidates(U, S)
+
+    def recorded(U, count, tables):
+        calls.append("round")
+        racing.append(True)
+        try:
+            return nash_points(U, count, tables)
+        finally:
+            racing.clear()
+
+    monkeypatch.setattr(_logmax, "_candidates", counted)
+    monkeypatch.setattr(_logmax, "_nash_points", recorded)
+    lam, _, resid = _logmax.maximize_log_sum_batch(C[None])
+    rounds = " ".join(map(str, calls)).split("round")[1:]
+    assert len(rounds) == (1 if cell == "office2" else 2) and resid[0] <= 1e-11
+    if cell == "cluster":
+        assert np.abs(C @ lam[0] - 1 / 3).max() <= 1e-15
+    assert all(sorted(map(int, r.split())) == [1, 2, 3] for r in rounds) and outside == []
+
+
+def test_columns_on_the_optimal_face_join_the_working_set(monkeypatch):
+    # Every column lies on the plane x_0 + x_1 + x_2 = 1, where the Nash
+    # point is the centre.  The 16 near columns have the largest products
+    # and hold it in their hull; the pair (P, Q), symmetric about it, has
+    # the smallest.  Both break no KKT condition, yet their segment is the
+    # smallest support that lands on the centre: they join the working
+    # set, and the pick is the one a working set of every column makes.
+    near = 1 / 3 + np.random.default_rng(3).uniform(-0.05, 0.05, size=(3, 16))
+    near /= near.sum(axis=0)
+    v = np.array([0.25, -0.125, -0.125])
+    C = np.hstack([near, (1 / 3 + v)[:, None], (1 / 3 - v)[:, None]])[None]
+    rounds = []
+    nash_points = _logmax._nash_points
+    monkeypatch.setattr(_logmax, "_nash_points", lambda U, *rest: rounds.append(U.shape[1]) or nash_points(U, *rest))
+    lam, _, resid = _logmax.maximize_log_sum_batch(C)
+    assert rounds == [_logmax._WORK, 18] and resid[0] <= 1e-15
+    assert np.flatnonzero(lam[0]).tolist() == [16, 17] and np.array_equal(lam[0, 16:], [0.5, 0.5])
+    monkeypatch.setattr(_logmax, "_WORK", 18)
+    assert _logmax.maximize_log_sum_batch(C)[0].tobytes() == lam.tobytes()
 
 
 def test_the_spurious_segment_root_is_rejected():
@@ -298,17 +403,16 @@ def test_one_undominated_column_cells_skip_the_support_race(monkeypatch):
     # The support race picks the same column for them.
     Cl = np.ascontiguousarray(C[one].transpose(1, 2, 0))
     scale = Cl.max(axis=1, keepdims=True)
-    at, face = _logmax._nash_face(Cl, scale, keep[:, one], None)
-    raced = _logmax._pick(*_logmax._gather(Cl, scale, face), at, C.shape[2]).T
+    raced = _logmax._race(Cl, scale, keep[:, one], None).T
 
     cells = []
-    nash_face = _logmax._nash_face
+    race = _logmax._race
 
     def spy(C, *rest):
         cells.append(C.shape[2])
-        return nash_face(C, *rest)
+        return race(C, *rest)
 
-    monkeypatch.setattr(_logmax, "_nash_face", spy)
+    monkeypatch.setattr(_logmax, "_race", spy)
     lam, _, resid = _logmax.maximize_log_sum_batch(C)
     assert cells == [int((~one).sum())]
     assert np.array_equal(lam[one], np.eye(C.shape[2])[np.full(one.sum(), 2)])
