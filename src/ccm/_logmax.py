@@ -373,7 +373,7 @@ def _pick(U, idx, at, face, near, m):
     lam = np.zeros((m, at.shape[1]))
     settled = np.zeros(at.shape[1], dtype=bool)
     for s, found in enumerate(near, 1):
-        if not found:
+        if not found or settled.all():
             continue
         cells, S, x, w = (np.concatenate(a, axis=-1) for a in zip(*found))
         cols = idx[S, cells]
