@@ -384,7 +384,9 @@ def _pick(U, idx, at, face, near, m):
         c = U[:, S, cells]
         e = c - c[:, np.arange(s) - 1]
         order = np.lexsort(((e * e).sum(axis=0).sum(axis=0), cells))
-        top = order[np.diff(cells[order], prepend=-1) != 0]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = cells[order[1:]] != cells[order[:-1]]
+        top = order[first]
         lam[cols[:, top], cells[top]] = w[:, top]
         settled[cells[top]] = True
     return lam

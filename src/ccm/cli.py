@@ -193,9 +193,10 @@ def _write_json(fh, value, pad: str) -> None:
     Dicts with string keys, and lists that hold anything but numbers, are
     written item by item.  A finite float or int is its repr in JSON, so a
     list of them is one C-level join, in place of the pure-Python
-    encoder's work per number.  Anything else, inf and NaN among them,
-    takes json.dumps, re-indented: its text holds no raw line break but
-    those of the layout.
+    encoder's work per number.  A scalar or an empty container reads the
+    same at any indent, so it takes the C encoder of json.dumps; anything
+    else takes the indenting one, re-indented: its text holds no raw line
+    break but those of the layout.
     """
     inner = pad + "  "
     kind = type(value)
@@ -209,18 +210,14 @@ def _write_json(fh, value, pad: str) -> None:
             fh.write(("," if i else "[") + inner)
             _write_json(fh, item, inner)
         fh.write(pad + "]")
-    elif kind is str:
-        fh.write(encode_basestring_ascii(value))
+    elif kind is list and value:
+        text = ("," + inner).join(map(repr, value))
+        # repr is JSON's text of a finite number; inf and nan are spelled otherwise.
+        fh.write("[" + inner + text + pad + "]" if "n" not in text else json.dumps(value, indent=2).replace("\n", pad))
+    elif isinstance(value, (dict, list, tuple)) and value:
+        fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
     else:
-        if kind in _NUMBERS:
-            text = repr(value)
-        elif kind is list and value:  # of numbers only, by the branch above
-            text = "[" + inner + ("," + inner).join(map(repr, value)) + pad + "]"
-        else:
-            text = "n"
-        if "n" in text:  # inf, nan and every other value
-            text = json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
-        fh.write(text)
+        fh.write(json.dumps(value))
 
 
 def _lindahl_payload(cert: market.LindahlCertificate) -> dict:

@@ -351,6 +351,7 @@ def test_command_output_is_the_stock_indented_text(name, tmp_path, capsys):
         {"b": True, "a": None, "c": False}, [0, -7, 10**30], [-0.0, 1e300, -1e-300, 5e-324],
         {"é": "ü\n\"", "z": [1.0, "\t"]}, [float("inf"), -float("inf")], 12, "s, t", None,
         [0.5, float("nan")], {"a": [[1e16, 0.1], [float("inf")]]}, -0.0, 1e300, False,
+        (1, [2, 3]), {"t": (1.5, "a"), "u": ()}, {1: "a", 0: [True]},
     ],
 )
 def test_the_emitter_writes_the_stock_indented_text(value):
