@@ -425,9 +425,8 @@ def _support_optima(C, tol, edges=None):
     are the candidates.  Rows are scaled to a largest entry of one, so the
     pick does not depend on per-agent scale.  A cell with one kept column
     takes it; in the others `_race` finds the optimum and the support
-    that reaches it.  The KKT residual re-verifies
-    every cell.  Returns (lam, value, residual) as
-    `maximize_log_sum_batch` does.
+    that reaches it.  The KKT residual re-verifies every cell.  Returns
+    (lam, value, residual) as `maximize_log_sum_batch` does.
     """
     n, m, b = C.shape
     scale = C.max(axis=1, keepdims=True)

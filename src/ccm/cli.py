@@ -212,8 +212,11 @@ def _write_json(fh, value, pad: str) -> None:
         fh.write(pad + "]")
     elif kind is list and value:
         text = ("," + inner).join(map(repr, value))
-        # repr is JSON's text of a finite number; inf and nan are spelled otherwise.
-        fh.write("[" + inner + text + pad + "]" if "n" not in text else json.dumps(value, indent=2).replace("\n", pad))
+        if "n" in text:  # inf or nan, which JSON spells otherwise
+            text = json.dumps(value, indent=2).replace("\n", pad)
+        else:
+            text = "[" + inner + text + pad + "]"
+        fh.write(text)
     elif isinstance(value, (dict, list, tuple)) and value:
         fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
     else:

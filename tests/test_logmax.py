@@ -201,15 +201,15 @@ def test_one_cell_solves_evaluate_each_size_once_per_round(monkeypatch, cell):
     # far ones join in a second round.  Each round evaluates each support
     # size in one call, and the pick evaluates none.
     C = _fixture_cells()["office2.json"] if cell == "office2" else _cluster_cell()
-    calls, outside, racing = [], [], []
+    rounds, outside, racing = [], [], []
     candidates, nash_points = _logmax._candidates, _logmax._nash_points
 
     def counted(U, S):
-        (calls if racing else outside).append(len(S))
+        (rounds[-1] if racing else outside).append(len(S))
         return candidates(U, S)
 
     def recorded(U, count, tables):
-        calls.append("round")
+        rounds.append([])
         racing.append(True)
         try:
             return nash_points(U, count, tables)
@@ -219,11 +219,10 @@ def test_one_cell_solves_evaluate_each_size_once_per_round(monkeypatch, cell):
     monkeypatch.setattr(_logmax, "_candidates", counted)
     monkeypatch.setattr(_logmax, "_nash_points", recorded)
     lam, _, resid = _logmax.maximize_log_sum_batch(C[None])
-    rounds = " ".join(map(str, calls)).split("round")[1:]
-    assert len(rounds) == (1 if cell == "office2" else 2) and resid[0] <= 1e-11
+    assert [sorted(sizes) for sizes in rounds] == [[1, 2, 3]] * (1 if cell == "office2" else 2)
+    assert outside == [] and resid[0] <= 1e-11
     if cell == "cluster":
         assert np.abs(C @ lam[0] - 1 / 3).max() <= 1e-15
-    assert all(sorted(map(int, r.split())) == [1, 2, 3] for r in rounds) and outside == []
 
 
 def test_columns_on_the_optimal_face_join_the_working_set(monkeypatch):
