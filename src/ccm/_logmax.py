@@ -41,25 +41,22 @@ peak the log sum is flat to second order, so objective values alone
 cannot tell the Nash point from a column 1e-8 off it; the KKT
 conditions can.  A smaller support therefore beats a larger one only if
 it meets them within `_TIE`, and only the few candidates that reach the
-best value enter that race, each checked in O(m).  Every support size is
-evaluated once per round, from one table of supports per size
-(`_subsets`): a one-cell solve on up to 24 working columns makes n
-evaluations per round.  The Nash point is unique, so candidates tie
+best value enter that race, each checked in O(m); each size is
+evaluated once per round.  The Nash point is unique, so candidates tie
 when they land on it: among those whose point is within rounding of the
-best point the smallest support wins, then the shortest, then the
-first.  Such a candidate's product is within rounding of the best one,
-so the race keeps the few candidates near each cell's best product, and
-the pick chooses among them without evaluating a support again.  Only
-columns on the optimal face can be in such a support, and all of them
-are in the last round's working set.  On a flat optimal face the
-lottery thus sits on the fewest columns nearest the Nash point.
+best point the smallest support wins, then the shortest, then the first.
+The race keeps up to `_NEAR` such candidates per cell for the pick; a
+cell with more, or with optimal-face columns outside its last working
+set, picks among every support of its face columns.  On a flat optimal
+face the lottery thus sits on the fewest columns nearest the Nash point.
 
 Candidates are evaluated in blocks of at most `_PAIR_BLOCK` (cell,
-support) entries, so memory stays bounded at any m; a working set bounds
-the number of supports, on the order of K^n for K columns.  A caller
-that knows a two-agent set's frontier chain passes its consecutive edges
-as the only segments (`solutions.nash_solution`), in O(m) after the
-chain's sort.
+support) entries, and past `_TABLE` supports of one size the supports are
+made block by block, so memory stays bounded at any m; a working set
+bounds the number of supports, on the order of K^n for K columns.  A
+caller that knows a two-agent set's frontier chain passes its
+consecutive edges as the only segments (`solutions.nash_solution`), in
+O(m) after the chain's sort.
 
 For one agent, and for four or more, each round runs Newton steps on
 the working sets, padded to one block (`_newton_optima`, `_newton_group`).
@@ -85,7 +82,8 @@ over agents and outcomes run across all cells at once.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -95,6 +93,10 @@ _SUPPORT_ROUNDS = 10
 _NEWTON_ITERS = 40
 # (cell, support) entries per block of the closed form for n <= 3.
 _PAIR_BLOCK = 2048
+# Supports of one size in one cached table (`_subsets`), at most.
+_TABLE = 1 << 16
+# Candidates near its best product that `_nash_points` keeps per cell.
+_NEAR = 8
 # (dominator, column, cell) entries per block of the per-cell pruning.
 _PRUNE_BLOCK = 1 << 16
 # Candidates whose point is within this relative distance of the best
@@ -214,23 +216,29 @@ def _newton_group(Cg, lamS, free):
 @lru_cache(maxsize=64)
 def _subsets(k, s):
     """The s-subsets of range(k) as a read-only (s, C(k, s)) table, in `combinations` order."""
-    table = np.fromiter(chain.from_iterable(combinations(range(k), s)), dtype=np.intp)
-    table = np.ascontiguousarray(table.reshape(-1, s).T)
+    table = np.fromiter(chain.from_iterable(combinations(range(k), s)), np.intp).reshape(-1, s).T.copy()
     table.setflags(write=False)
     return table
 
 
-def _blocks(b, S):
-    """(cells, supports) blocks over b cells and the (s, p) supports S.
+def _parts(k, s):
+    """The s-subsets of range(k) as (s, p) tables: `_subsets` up to `_TABLE`, else `_PAIR_BLOCK` at a time."""
+    if comb(k, s) <= _TABLE:
+        yield _subsets(k, s)
+    else:
+        subsets = chain.from_iterable(combinations(range(k), s))
+        while (part := np.fromiter(islice(subsets, s * _PAIR_BLOCK), np.intp)).size:
+            yield part.reshape(-1, s).T
 
-    A block holds at most `_PAIR_BLOCK` (cell, support) entries.  Each
-    cell meets its supports in their order.
-    """
-    for lo in range(0, S.shape[1], _PAIR_BLOCK):
-        part = S[:, lo : lo + _PAIR_BLOCK]
-        rows = max(1, _PAIR_BLOCK // part.shape[1])
-        for cell in range(0, b, rows):
-            yield slice(cell, min(cell + rows, b)), part
+
+def _blocks(b, parts):
+    """(cells, supports) blocks of at most `_PAIR_BLOCK` entries, each cell's supports in order."""
+    for S in parts:
+        for lo in range(0, S.shape[1], _PAIR_BLOCK):
+            part = S[:, lo : lo + _PAIR_BLOCK]
+            rows = max(1, _PAIR_BLOCK // part.shape[1])
+            for cell in range(0, b, rows):
+                yield slice(cell, min(cell + rows, b)), part
 
 
 # The face's plane is w.x = 1 with w.C_j = 1 on its three columns, and the
@@ -300,29 +308,25 @@ def _lands_on(x, at):
     return (np.abs(x - at) <= _TIE * at).all(axis=0)
 
 
-def _nash_points(U, count, tables):
-    """Each cell's log-welfare optimum over the supports of `tables`, and the candidates near it.
+def _nash_points(U, count, sizes):
+    """Each cell's log-welfare optimum over the supports of `sizes`, and the candidates near it.
 
-    tables[s - 1] holds the supports of s columns; a support with a column
+    sizes[s - 1] holds the (s, p) tables of s-supports; one with a column
     at or past its cell's count is padding.  Each size is evaluated once,
-    the largest first: its best support sets the point.  A smaller support
-    enters when it reaches at least the cell's best product (strictly,
-    against a support no larger than itself), and the KKT test within
-    `_TIE` runs on the entrants only; the largest product that passes wins,
-    then the first.  Returns the (n, cells) points and, per size, the
-    candidates whose product was within 4 `_TIE` of their cell's best when
-    their block was done, as (cells, supports, points, lotteries), each
-    cell's in the order of its supports: the best only grows, and a point
-    within `_TIE` of the final one in every coordinate has a product within
-    3 `_TIE` of its product.
+    the largest first.  A smaller support enters when it reaches the best
+    product (strictly, against one no larger), and the entrants take the
+    KKT test within `_TIE`; the largest product that passes wins, then the
+    first.  Returns the (n, cells) points; per size from 2, one chunk of
+    the candidates within 4 `_TIE` of their cell's best after their block,
+    (cells, supports, points, lotteries) in support order, which hold every
+    one that lands on the point; and a mask of the cells that had more
+    than `_NEAR`, whose later ones are dropped.
     """
     n, k, b = U.shape
-    best = np.full(b, -np.inf)
-    at = np.zeros((n, b))
-    size = np.full(b, n)
-    near = [[] for _ in tables]
+    best, at, near = np.full(b, -np.inf), np.zeros((n, b)), [[] for _ in sizes]
+    size, held = np.full(b, n), np.zeros(b, dtype=np.intp)
     for s in (n, *range(1, n)):
-        for cells, S in _blocks(b, tables[s - 1]):
+        for cells, S in _blocks(b, sizes[s - 1]):
             Ub = U[:, :, cells]
             x, prod, lam = _candidates(Ub, S)
             prod[S[-1][:, None] >= count[cells]] = -np.inf
@@ -355,40 +359,66 @@ def _nash_points(U, count, tables):
                 best[rows], at[:, rows], size[rows] = prod[j, r], x[:, j, r], s
                 if not failed:
                     break
+            if s == 1:
+                continue
+            # A point within `_TIE` of the final one has a product within 3 `_TIE` of it.
             j, r = np.nonzero(prod >= np.maximum(best[cells] * (1.0 - 4 * _TIE), 0.0))
-            if j.size:
-                near[s - 1].append((cells.start + r, S[:, j], x[:, j, r], lam[:, j, r]))
-    return at, near
+            held[cells] += np.bincount(r, minlength=len(f))
+            if held[cells].max() > _NEAR:
+                kept = held[cells][r] <= _NEAR
+                j, r = j[kept], r[kept]
+            near[s - 1].append((cells.start + r, S[:, j], x[:, j, r], lam[:, j, r]))
+    near = [[tuple(np.concatenate(a, axis=-1) for a in zip(*found))] if found else [] for found in near]
+    return at, near, held > _NEAR
 
 
-def _pick(U, idx, at, face, near, m):
-    """The (m, cells) lottery on the candidate support that lands on `at`.
+def _evaluated(U, count, s, cells, at):
+    """Every s-support of U's columns in `cells` that lands on `at`, block by block, as `_nash_points`' near."""
+    for block, S in _blocks(len(cells), _parts(U.shape[1], s)):
+        sel = cells[block]
+        x, prod, lam = _candidates(U[:, :, sel], S)
+        j, r = np.nonzero((prod > -np.inf) & (S[-1][:, None] < count[sel]) & _lands_on(x, at[:, None, sel]))
+        yield sel[r], S[:, j], x[:, j, r], lam[:, j, r]
 
-    near holds `_nash_points`' candidates near each cell's best product,
-    among them every one that lands within `_TIE` of `at`; idx maps U's
-    columns to columns of the lottery.  Of the candidates that land and
-    whose columns are all on the optimal face (face, an (m, cells) mask),
-    the smallest support wins, then the shortest, then the first.
+
+def _pick(U, idx, count, at, face, near, m):
+    """The (m, cells) lottery on the support of U's columns (a `_gather`) whose point lands on `at`.
+
+    Of the supports of face columns (face, an (m, cells) mask) within
+    `_TIE` of `at`, the smallest wins, then the shortest, then the first:
+    of `_nash_points`' candidates near or, if near is None, of them all.
     """
-    lam = np.zeros((m, at.shape[1]))
-    settled = np.zeros(at.shape[1], dtype=bool)
-    for s, found in enumerate(near, 1):
-        if not found or settled.all():
-            continue
-        cells, S, x, w = (np.concatenate(a, axis=-1) for a in zip(*found))
-        cols = idx[S, cells]
-        ok = ~settled[cells] & face[cols, cells].all(axis=0) & _lands_on(x, at[:, cells])
-        cells, S, cols, w = cells[ok], S[:, ok], cols[:, ok], w[:, ok]
-        # Squared lengths around the closed edge cycle: a segment's edge counts
-        # twice.  The sort is stable, so of equals the first support wins.
-        c = U[:, S, cells]
-        e = c - c[:, np.arange(s) - 1]
-        order = np.lexsort(((e * e).sum(axis=0).sum(axis=0), cells))
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = cells[order[1:]] != cells[order[:-1]]
-        top = order[first]
-        lam[cols[:, top], cells[top]] = w[:, top]
-        settled[cells[top]] = True
+    n, k, b = U.shape
+    lam = np.zeros((m, b))
+    # A column is its own point, on the face if it lands (`_FACE`); the first settles its cell.
+    hit = _lands_on(U, at[:, None]) & (np.arange(k)[:, None] < count)
+    open_ = ~hit.any(axis=0)
+    cells = np.flatnonzero(~open_)
+    lam[idx[hit[:, cells].argmax(axis=0), cells], cells] = 1.0
+    for s in range(2, n + 1):
+        if not open_.any():
+            break
+        chunks = near[s - 1] if near is not None else _evaluated(U, count, s, np.flatnonzero(open_), at)
+        short = np.full(b, np.inf)
+        for cells, S, x, w in chunks:
+            cols = idx[S, cells]
+            ok = open_[cells] & face[cols, cells].all(axis=0) & _lands_on(x, at[:, cells])
+            cells, S, cols, w = cells[ok], S[:, ok], cols[:, ok], w[:, ok]
+            # Squared lengths around the closed edge cycle: a segment's edge
+            # counts twice.  The sort is stable, so of equals the first wins,
+            # and one of a later block wins only if it is shorter.
+            c = U[:, S, cells]
+            e = c - c[:, np.arange(s) - 1]
+            length = (e * e).sum(axis=0).sum(axis=0)
+            order = np.lexsort((length, cells))
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = cells[order[1:]] != cells[order[:-1]]
+            top = order[first]
+            top = top[length[top] < short[cells[top]]]
+            lam[:, cells[top]] = 0.0
+            short[cells[top]] = length[top]
+            lam[cols[:, top], cells[top]] = w[:, top]
+        open_ &= short == np.inf
     return lam
 
 
@@ -453,13 +483,8 @@ def _support_optima(C, tol, edges=None):
 def _race(C, scale, keep, edges):
     """The (m, cells) lottery on the support `_pick` picks at the optimum over the kept columns.
 
-    The optimum is `_nash_points`' on a working set of the kept columns,
-    padded to the batch's largest count.  A cell with more than `_WORK`
-    starts from the `_WORK` of largest product, and each round adds at
-    most `_WORK` of the kept columns that break the KKT conditions at the
-    optimum, the most violated first, until none does (column generation).
-    The pick reads the last round's candidates, so kept columns on the
-    optimal face (`_FACE`) then join the working set too, if any is left out.
+    The optimum is `_nash_points`' on working sets of the kept columns,
+    padded to the batch's largest, grown as the module docstring says.
     """
     n = C.shape[0]
     work = keep
@@ -467,21 +492,23 @@ def _race(C, scale, keep, edges):
         work = _largest((C / scale).prod(axis=0), keep)
     while True:
         U, idx, count = _gather(C, scale, work)
-        tables = [_subsets(U.shape[1], s) for s in range(1, n + 1 if edges is None else 2)]
+        sizes = [_parts(U.shape[1], s) for s in range(1, n + 1)]
         if edges is not None:
-            tables.append(np.vstack(edges))
-        at, near = _nash_points(U, count, tables)
+            sizes[1] = [np.vstack(edges)]
+        at, near, over = _nash_points(U, count, sizes)
         with np.errstate(divide="ignore", invalid="ignore"):
             phi = _gradients(C, at * scale[:, 0])
         # A working set with no positive point (all its products zero)
         # leaves at = 0, where phi is infinite or NaN: the largest violation.
         phi[np.isnan(phi)] = np.inf
-        face = keep & (phi >= n * (1.0 - _FACE))
         grow = keep & ~work & (phi > n * (1.0 + _TIE))
         if not grow.any():
-            grow = face & ~work
-            if not grow.any():
-                return _pick(U, idx, at, face, near, C.shape[1])
+            face = keep & (phi >= n * (1.0 - _FACE))
+            lam = _pick(U, idx, count, at, face, near, C.shape[1])
+            a = np.flatnonzero(over | (face & ~work).any(axis=0))
+            if a.size:
+                lam[:, a] = _pick(*_gather(C[..., a], scale[..., a], face[:, a]), at[:, a], face[:, a], None, C.shape[1])
+            return lam
         work = work | _largest(phi, grow)
 
 

@@ -193,10 +193,9 @@ def _write_json(fh, value, pad: str) -> None:
     Dicts with string keys, and lists that hold anything but numbers, are
     written item by item.  A finite float or int is its repr in JSON, so a
     list of them is one C-level join, in place of the pure-Python
-    encoder's work per number.  A scalar or an empty container reads the
-    same at any indent, so it takes the C encoder of json.dumps; anything
-    else takes the indenting one, re-indented: its text holds no raw line
-    break but those of the layout.
+    encoder's work per number.  Anything else (a scalar, an empty
+    container, a list holding inf or NaN) takes json.dumps, re-indented:
+    its text holds no raw line break but those of the layout.
     """
     inner = pad + "  "
     kind = type(value)
@@ -210,17 +209,10 @@ def _write_json(fh, value, pad: str) -> None:
             fh.write(("," if i else "[") + inner)
             _write_json(fh, item, inner)
         fh.write(pad + "]")
-    elif kind is list and value:
-        text = ("," + inner).join(map(repr, value))
-        if "n" in text:  # inf or nan, which JSON spells otherwise
-            text = json.dumps(value, indent=2).replace("\n", pad)
-        else:
-            text = "[" + inner + text + pad + "]"
-        fh.write(text)
-    elif isinstance(value, (dict, list, tuple)) and value:
-        fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
+    elif kind is list and value and "n" not in (text := ("," + inner).join(map(repr, value))):
+        fh.write("[" + inner + text + pad + "]")  # "n" is in inf and nan, which JSON spells otherwise
     else:
-        fh.write(json.dumps(value))
+        fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
 
 
 def _lindahl_payload(cert: market.LindahlCertificate) -> dict:

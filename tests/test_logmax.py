@@ -2,6 +2,7 @@
 import json
 import os
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -146,13 +147,24 @@ def test_working_sets_give_the_pick_of_every_support(monkeypatch):
     assert grown[0][0, -1] == pytest.approx(1 / 3, abs=1e-15)
 
 
-def test_support_tables_are_the_combinations():
+def test_support_tables_are_the_combinations(monkeypatch):
     for k in range(1, 41):
         for s in (1, 2, 3):
             table = _logmax._subsets(k, s)
             want = np.array(list(combinations(range(k), s)), dtype=np.intp).reshape(-1, s).T
             assert table.shape == want.shape and np.array_equal(table, want)
             assert not table.flags.writeable and _logmax._subsets(k, s) is table
+    # Past _TABLE supports, the parts come _PAIR_BLOCK at a time, in the same order.
+    monkeypatch.setattr(_logmax, "_TABLE", 100)
+    monkeypatch.setattr(_logmax, "_PAIR_BLOCK", 64)
+    for k in (2, 9, 30):
+        for s in (1, 2, 3):
+            parts = list(_logmax._parts(k, s))
+            assert np.array_equal(np.hstack(parts), _logmax._subsets(k, s))
+            if comb(k, s) <= 100:
+                assert len(parts) == 1 and parts[0] is _logmax._subsets(k, s)
+            else:
+                assert len(parts) == -(-comb(k, s) // 64) and max(p.shape[1] for p in parts) == 64
 
 
 def _fixture_cells():
@@ -225,25 +237,90 @@ def test_one_cell_solves_evaluate_each_size_once_per_round(monkeypatch, cell):
         assert np.abs(C @ lam[0] - 1 / 3).max() <= 1e-15
 
 
-def test_columns_on_the_optimal_face_join_the_working_set(monkeypatch):
+def test_face_columns_outside_the_working_set_are_picked_again(monkeypatch):
     # Every column lies on the plane x_0 + x_1 + x_2 = 1, where the Nash
     # point is the centre.  The 16 near columns have the largest products
-    # and hold it in their hull; the pair (P, Q), symmetric about it, has
-    # the smallest.  Both break no KKT condition, yet their segment is the
-    # smallest support that lands on the centre: they join the working
-    # set, and the pick is the one a working set of every column makes.
+    # and hold it in their hull; three pairs, each symmetric about it and
+    # all of one length, have the smallest.  They break no KKT condition,
+    # so the race ends on the first working set, yet each pair's segment
+    # is a smallest support that lands on the centre: the pick evaluates
+    # the face's supports again and takes the first pair, in blocks of any
+    # size, as a working set of every column does.
     near = 1 / 3 + np.random.default_rng(3).uniform(-0.05, 0.05, size=(3, 16))
     near /= near.sum(axis=0)
-    v = np.array([0.25, -0.125, -0.125])
-    C = np.hstack([near, (1 / 3 + v)[:, None], (1 / 3 - v)[:, None]])[None]
+    v = np.array([[0.25, -0.125, -0.125], [-0.125, 0.25, -0.125], [-0.125, -0.125, 0.25]])
+    C = np.hstack([near, *[np.array([1 / 3 + w, 1 / 3 - w]).T for w in v]])[None]
     rounds = []
     nash_points = _logmax._nash_points
     monkeypatch.setattr(_logmax, "_nash_points", lambda U, *rest: rounds.append(U.shape[1]) or nash_points(U, *rest))
     lam, _, resid = _logmax.maximize_log_sum_batch(C)
-    assert rounds == [_logmax._WORK, 18] and resid[0] <= 1e-15
-    assert np.flatnonzero(lam[0]).tolist() == [16, 17] and np.array_equal(lam[0, 16:], [0.5, 0.5])
-    monkeypatch.setattr(_logmax, "_WORK", 18)
+    assert rounds == [_logmax._WORK] and resid[0] <= 1e-15
+    assert np.flatnonzero(lam[0]).tolist() == [16, 17] and np.abs(lam[0, 16:18] - 0.5).max() <= 1e-15
+    monkeypatch.setattr(_logmax, "_PAIR_BLOCK", 1)
     assert _logmax.maximize_log_sum_batch(C)[0].tobytes() == lam.tobytes()
+    monkeypatch.setattr(_logmax, "_WORK", 22)
+    assert _logmax.maximize_log_sum_batch(C)[0].tobytes() == lam.tobytes()
+
+
+def _flat_faces(cells, m, seed):
+    """Cells of m columns on the plane x_0 + x_1 + x_2 = 1, around its centre, the Nash point.
+
+    Each cell's last two columns are symmetric about the centre and have
+    the smallest products.
+    """
+    rng = np.random.default_rng(seed)
+    C = 1 / 3 + rng.uniform(-0.1, 0.1, size=(cells, 3, m))
+    C /= C.sum(axis=1, keepdims=True)
+    v = rng.uniform(-0.2, 0.2, size=(cells, 3, 1))
+    v[:, 0] = 0.3
+    v -= v.mean(axis=1, keepdims=True)
+    C[:, :, -2:] = 1 / 3 + np.concatenate([v, -v], axis=2)
+    return C
+
+
+def test_a_flat_face_of_many_columns_keeps_few_candidates(monkeypatch):
+    # Every column of every cell is on the optimal face, so every triangle
+    # of working columns around the centre reaches the best product.  The
+    # race ends on the first working set, and keeps at most _NEAR
+    # candidates per cell; the pick finds each cell's symmetric pair among
+    # the supports of its 120 face columns.
+    C = _flat_faces(6, 120, 4)
+    rounds, kept, full = [], [], []
+    nash_points = _logmax._nash_points
+
+    def recorded(U, count, sizes):
+        at, near, over = nash_points(U, count, sizes)
+        rounds.append(U.shape[1])
+        cells = [c for found in near for c, *_ in found]
+        kept.append(np.bincount(np.concatenate(cells), minlength=U.shape[2]))
+        full.append(over)
+        return at, near, over
+
+    monkeypatch.setattr(_logmax, "_nash_points", recorded)
+    lam, _, resid = _logmax.maximize_log_sum_batch(C)
+    assert rounds == [_logmax._WORK] and full[0].all() and kept[0].max() <= _logmax._NEAR
+    assert resid.max() <= 1e-14 and np.flatnonzero(lam.any(axis=0)).tolist() == [118, 119]
+    assert np.abs(lam[:, -2:] - 0.5).max() <= 1e-12
+
+
+def test_picking_again_gives_the_pick_of_the_kept_candidates(monkeypatch):
+    # With no candidate kept, every cell's pick evaluates its face again;
+    # the lotteries may not change.  The batches hold twins, collinear and
+    # coplanar outcomes, so many supports land on each cell's point.
+    rng = np.random.default_rng(8)
+    u = rng.integers(0, 17, size=(2, 30)) / 16.0
+    u[:, 10:14] = u[:, 0:4]
+    u[:, 14] = (u[:, 1] + u[:, 2]) / 2
+    two = np.maximum(u[None] - rng.uniform(0, 0.5, size=(200, 2, 1)), 0.0)
+    u = np.array([[3, 2, 1], [1, 3, 2], [2, 1, 3], [2, 2, 2], [3, 2, 1], [2, 2, 2]]).T / 4.0
+    three = np.maximum(u[None] - rng.uniform(0, 0.25, size=(60, 3, 1)), 0.0)
+    batches = [two[(two.max(axis=2) > 0).all(axis=1)], three, _corpus_batch(1, 8), _flat_faces(3, 24, 5)]
+    batches += [C[None] for C in _fixture_cells().values()]
+    kept = [_logmax.maximize_log_sum_batch(C) for C in batches]
+    monkeypatch.setattr(_logmax, "_NEAR", -1)
+    for C, want in zip(batches, kept):
+        for a, b in zip(want, _logmax.maximize_log_sum_batch(C)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_the_spurious_segment_root_is_rejected():
